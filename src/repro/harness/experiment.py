@@ -9,8 +9,8 @@ time).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, fields, is_dataclass, replace
+from typing import Dict, List, Optional, Tuple
 
 from ..core.policies import PolicyConfig, ddio
 from ..mem import stats as stats_mod
@@ -84,10 +84,10 @@ def _normalized_exe_time(
 class ExperimentSummary:
     """The slim, picklable slice of a run the figure harness consumes.
 
-    An :class:`ExperimentResult` drags the whole :class:`SimulatedServer`
-    (caches, rings, per-packet objects) — cheap to hand around in-process,
-    but unserializable in practice and a memory leak across a sweep.  The
-    summary carries only derived data: window statistics, the raw
+    An :class:`ExperimentResult` is this summary plus the whole
+    :class:`SimulatedServer` (caches, rings, per-packet objects) — cheap
+    to hand around in-process, but unserializable in practice and a
+    memory leak across a sweep.  The summary carries only derived data: window statistics, the raw
     timestamp lists of the :data:`SUMMARY_STREAMS`, latencies, counters,
     and a handful of scalars the figures and extensions read off the
     server.  Everything here pickles, so it is also the unit of transfer
@@ -204,47 +204,48 @@ class ExperimentSummary:
     def fingerprint(self) -> Tuple:
         """A deterministic digest of everything simulation-derived.
 
-        Excludes the wall-clock diagnostics (``wall_seconds`` and
-        ``events_per_second`` vary run to run even for identical
-        simulations); two runs of the same seeded experiment must produce
-        equal fingerprints whether they ran serially or in a worker
-        process.
+        Every field except :data:`NONDETERMINISTIC_FIELDS`, in declaration
+        order, normalised by :func:`_fingerprint_value`.  Two runs of the
+        same seeded experiment produce equal fingerprints whether they
+        ran serially, in a worker process, or came out of the cache.
         """
-        return (
-            self.policy_name,
-            (self.window.start, self.window.end, self.window.mlc_writebacks,
-             self.window.llc_writebacks, self.window.dram_reads,
-             self.window.dram_writes, self.window.mlc_invalidations,
-             self.window.pcie_writes),
-            self.offered_packets,
-            self.rx_packets,
-            self.rx_drops,
-            self.completed,
-            self.tx_packets,
-            self.burst_processing_time,
-            tuple(self.latencies_ns),
-            self.antagonist_access_ns,
-            self.antagonist_accesses,
-            tuple(sorted(self.decisions.items())),
-            tuple(sorted(self.counters.items())),
-            tuple((k, tuple(v)) for k, v in sorted(self.event_streams.items())),
-            tuple(sorted(self.latency_breakdown.items())),
-            tuple(self.core_mem_accesses),
-            tuple(self.per_core_mean_latency_us),
-            self.bursts_detected,
-            self.headers_steered,
-            self.events_fired,
-            tuple(sorted(self.fault_counts.items())),
-            tuple(
-                (tenant, tuple(sorted(stats.items())))
-                for tenant, stats in sorted(self.tenant_stats.items())
-            ),
+        return tuple(
+            _fingerprint_value(getattr(self, name)) for name in _FINGERPRINT_FIELDS
         )
 
 
+#: ``ExperimentSummary`` fields the fingerprint leaves out: the
+#: experiment itself (it *keys* the comparison), the wall-clock
+#: diagnostics, and the sweep runner's bookkeeping (mutated on retries
+#: and cache hits).
+NONDETERMINISTIC_FIELDS = frozenset(
+    {"experiment", "wall_seconds", "events_per_second", "status", "attempts"}
+)
+
+_FINGERPRINT_FIELDS: Tuple[str, ...] = tuple(
+    f.name for f in fields(ExperimentSummary) if f.name not in NONDETERMINISTIC_FIELDS
+)
+
+
+def _fingerprint_value(value):
+    """Normalise one summary value into a ``repr``-stable, hashable form.
+
+    A dict becomes its sorted ``(key, value)`` pairs, a list a tuple (one
+    C-level copy: list elements are scalars), a nested dataclass the
+    tuple of its fields; scalars pass through.
+    """
+    if isinstance(value, dict):
+        return tuple((k, _fingerprint_value(v)) for k, v in sorted(value.items()))
+    if isinstance(value, list):
+        return tuple(value)
+    if is_dataclass(value):
+        return tuple(_fingerprint_value(getattr(value, f.name)) for f in fields(value))
+    return value
+
+
 @dataclass
-class ExperimentResult:
-    """Everything the figure benchmarks consume, plus the live server.
+class ExperimentResult(ExperimentSummary):
+    """A summary that still holds the live server.
 
     Holding the server keeps every cache/ring/packet object reachable —
     convenient for white-box tests, but heavy.  Sweeps should convert to
@@ -252,137 +253,18 @@ class ExperimentResult:
     the parallel runner does this inside the worker process.
     """
 
-    experiment: Experiment
-    policy_name: str
-    window: metrics.WindowStats
-    offered_packets: int
-    rx_packets: int
-    rx_drops: int
-    completed: int
-    burst_processing_time: Optional[int]
-    latencies_ns: List[float]
-    antagonist_access_ns: Optional[float]
-    antagonist_accesses: int
-    decisions: Dict[str, int]
-    server: Optional[SimulatedServer]
+    server: Optional[SimulatedServer] = None
 
-    def _require_server(self) -> SimulatedServer:
-        if self.server is None:
-            raise RuntimeError(
-                "server was dropped from this ExperimentResult; use the "
-                "ExperimentSummary captured before drop_server()"
-            )
-        return self.server
-
-    @property
-    def p50_ns(self) -> Optional[float]:
-        if not self.latencies_ns:
-            return None
-        return metrics.percentile(self.latencies_ns, 50)
-
-    @property
-    def p99_ns(self) -> Optional[float]:
-        if not self.latencies_ns:
-            return None
-        return metrics.percentile(self.latencies_ns, 99)
-
-    def latency_breakdown_ns(self) -> Dict[str, float]:
-        """Mean queueing delay vs service time of completed packets.
-
-        Queueing delay covers NIC pipeline + descriptor writeback + ring
-        wait + batching; service time is the pure processing component.
-        When the server ran with tracing enabled, the recorder's real
-        per-component split (``mean_l1_ns``/``mean_mlc_ns``/...) is folded
-        in on top.
-        """
-        from ..obs.trace import merge_latency_breakdowns
-        from ..sim import units as _units
-
-        server = self._require_server()
-        packets = server.completed_packets()
-        queueing = [p.queueing_delay for p in packets if p.queueing_delay is not None]
-        service = [p.service_time for p in packets if p.service_time is not None]
-        breakdown = {
-            "mean_queueing_ns": (
-                _units.to_nanoseconds(sum(queueing)) / len(queueing) if queueing else 0.0
-            ),
-            "mean_service_ns": (
-                _units.to_nanoseconds(sum(service)) / len(service) if service else 0.0
-            ),
-        }
-        return merge_latency_breakdowns(breakdown, server.trace_recorder)
-
-    def timeline(self, stream: str, bin_us: float = 10.0) -> List[Tuple[float, float]]:
-        """(time_us, MTPS) series for a stat stream over the run window."""
-        return metrics.timeline_mtps(
-            self._require_server().stats,
-            stream,
-            self.window.start,
-            self.window.end,
-            bin_ticks=units.microseconds(bin_us),
-        )
-
-    def normalized_to(self, baseline: "ExperimentResult") -> Dict[str, float]:
-        """Fig. 10-style normalization against a baseline run."""
-        values = self.window.normalized_to(baseline.window)
-        exe_time = _normalized_exe_time(
-            self.burst_processing_time, baseline.burst_processing_time
-        )
-        if exe_time is not None:
-            values["exe_time"] = exe_time
-        return values
-
-    def summary(self, streams: Sequence[str] = SUMMARY_STREAMS) -> ExperimentSummary:
-        """Derive the slim :class:`ExperimentSummary` from the live server."""
-        server = self._require_server()
-        events = server.stats.events
-        per_core_latency: List[float] = []
-        for driver in server.drivers:
-            lats = [p.latency for p in driver.completed_packets if p.latency]
-            per_core_latency.append(
-                units.to_microseconds(sum(lats) // len(lats)) if lats else 0.0
-            )
-        bursts = sum(
-            nic.classifier.bursts_detected
-            for nic in server.nics
-            if nic.classifier is not None
-        )
-        steered = 0
-        if server.cachedirector is not None:
-            steered = server.cachedirector.headers_steered
+    def summary(self) -> ExperimentSummary:
+        """The plain, server-free :class:`ExperimentSummary` of this run."""
         return ExperimentSummary(
-            experiment=self.experiment,
-            policy_name=self.policy_name,
-            window=self.window,
-            offered_packets=self.offered_packets,
-            rx_packets=self.rx_packets,
-            rx_drops=self.rx_drops,
-            completed=self.completed,
-            tx_packets=server.total_tx,
-            burst_processing_time=self.burst_processing_time,
-            latencies_ns=list(self.latencies_ns),
-            antagonist_access_ns=self.antagonist_access_ns,
-            antagonist_accesses=self.antagonist_accesses,
-            decisions=dict(self.decisions),
-            counters=server.stats.counters.snapshot(),
-            event_streams={s: events.timestamps(s) for s in streams},
-            latency_breakdown=self.latency_breakdown_ns(),
-            core_mem_accesses=[c.stats.mem_accesses for c in server.cores],
-            per_core_mean_latency_us=per_core_latency,
-            bursts_detected=bursts,
-            headers_steered=steered,
-            events_fired=server.sim.events_fired,
-            wall_seconds=server.sim.wall_seconds,
-            events_per_second=server.sim.events_per_second,
-            fault_counts=dict(server.fault_counts),
-            tenant_stats=server.tenant_stats(),
+            **{f.name: getattr(self, f.name) for f in fields(ExperimentSummary)}
         )
 
     def drop_server(self) -> None:
         """Release the simulated server (and with it most of the run's memory).
 
-        After this, only the summary-level fields remain usable; call
-        :meth:`summary` first if the derived data is still needed.
+        Every summary-level field and method stays usable afterwards.
         """
         self.server = None
 
@@ -491,6 +373,7 @@ def run_experiment(experiment: Experiment) -> ExperimentResult:
         if antagonist_ns is None:
             antagonist_ns = stats.average_access_ns()
 
+    events = server.stats.events
     return ExperimentResult(
         experiment=experiment,
         policy_name=experiment.server.policy.name,
@@ -499,13 +382,67 @@ def run_experiment(experiment: Experiment) -> ExperimentResult:
         rx_packets=server.total_rx,
         rx_drops=server.total_drops,
         completed=len(completions),
+        tx_packets=server.total_tx,
         burst_processing_time=bpt,
         latencies_ns=server.packet_latencies_ns(),
         antagonist_access_ns=antagonist_ns,
         antagonist_accesses=antagonist_accesses,
         decisions=dict(server.controller.decisions) if server.controller else {},
+        counters=server.stats.counters.snapshot(),
+        event_streams={s: events.timestamps(s) for s in SUMMARY_STREAMS},
+        latency_breakdown=_latency_breakdown(server),
+        core_mem_accesses=[c.stats.mem_accesses for c in server.cores],
+        per_core_mean_latency_us=[
+            _mean_latency_us(driver.completed_packets) for driver in server.drivers
+        ],
+        bursts_detected=sum(
+            nic.classifier.bursts_detected
+            for nic in server.nics
+            if nic.classifier is not None
+        ),
+        headers_steered=(
+            server.cachedirector.headers_steered
+            if server.cachedirector is not None
+            else 0
+        ),
+        events_fired=server.sim.events_fired,
+        wall_seconds=server.sim.wall_seconds,
+        events_per_second=server.sim.events_per_second,
+        fault_counts=dict(server.fault_counts),
+        tenant_stats=server.tenant_stats(),
         server=server,
     )
+
+
+def _latency_breakdown(server: SimulatedServer) -> Dict[str, float]:
+    """Mean queueing delay vs service time of completed packets.
+
+    Queueing delay covers NIC pipeline + descriptor writeback + ring
+    wait + batching; service time is the pure processing component.
+    When the server ran with tracing enabled, the recorder's real
+    per-component split (``mean_l1_ns``/``mean_mlc_ns``/...) is folded
+    in on top.
+    """
+    from ..obs.trace import merge_latency_breakdowns
+
+    packets = server.completed_packets()
+    queueing = [p.queueing_delay for p in packets if p.queueing_delay is not None]
+    service = [p.service_time for p in packets if p.service_time is not None]
+    breakdown = {
+        "mean_queueing_ns": (
+            units.to_nanoseconds(sum(queueing)) / len(queueing) if queueing else 0.0
+        ),
+        "mean_service_ns": (
+            units.to_nanoseconds(sum(service)) / len(service) if service else 0.0
+        ),
+    }
+    return merge_latency_breakdowns(breakdown, server.trace_recorder)
+
+
+def _mean_latency_us(packets) -> float:
+    """Mean completed-packet latency of one NF driver (0.0 when idle)."""
+    lats = [p.latency for p in packets if p.latency]
+    return units.to_microseconds(sum(lats) // len(lats)) if lats else 0.0
 
 
 def _burst_length(experiment: Experiment) -> int:

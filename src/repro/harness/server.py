@@ -114,9 +114,7 @@ class ServerConfig:
     #: banks, open-row tracking).
     dram_model: str = "fixed"
     #: Cache replacement policy for every level (``None`` = per-level
-    #: default, ``lru``).  ``"lru-vec"`` opts into the numpy-vectorized
-    #: exact-LRU path (identical results; falls back to ``lru`` without
-    #: numpy — see :mod:`repro.mem._vec`).
+    #: default, ``lru``).
     replacement: Optional[str] = None
     #: Extra pool buffers per ring slot in re-allocate mode.
     reallocate_pool_factor: int = 2

@@ -98,9 +98,7 @@ class HierarchyConfig:
     #: open-row tracking (see mem.dram.BankedDRAM).
     dram_model: str = "fixed"
     #: Replacement policy applied to every level (``None`` = keep each
-    #: CacheConfig's own setting, i.e. ``lru``).  ``lru-vec`` selects the
-    #: numpy-vectorized exact-LRU variant, falling back to ``lru`` when
-    #: numpy is absent — results are identical either way.
+    #: CacheConfig's own setting, i.e. ``lru``).
     replacement: Optional[str] = None
 
     def _with_replacement(self, cfg: CacheConfig) -> CacheConfig:

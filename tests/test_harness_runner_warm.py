@@ -17,7 +17,6 @@ from repro.faults import FaultPlan, FaultSpec
 from repro.harness import runner
 from repro.harness.experiment import Experiment
 from repro.harness.runner import (
-    _chunksize,
     get_pool,
     pool_session,
     run_experiments,
@@ -114,11 +113,12 @@ class TestOrderingAndIdentity:
                 par.fingerprint()
             )
 
-    def test_dispatch_note_records_chunksize(self, warm_pool):
+    def test_dispatch_note_records_mode(self, warm_pool):
         exps = [small_experiment(f"d{i}") for i in range(2)]
         run_experiments(exps, jobs=2)
-        assert runner.last_dispatch["mode"] == "warm-pool"
-        assert runner.last_dispatch["chunksize"] == _chunksize(2, warm_pool.workers)
+        assert runner.last_dispatch == {
+            "mode": "warm-pool", "workers": warm_pool.workers, "batch": 2
+        }
         run_experiments(exps, jobs=1)
         assert runner.last_dispatch["mode"] == "serial"
 
@@ -150,19 +150,3 @@ class TestSweepResilienceOnWarmPool:
         # The wedged worker still holds a slot: the pool must have been
         # terminated and discarded, not handed to the next caller.
         assert runner._session_pool is not warm_pool
-
-
-class TestChunksize:
-    @pytest.mark.parametrize(
-        "tasks,workers,expected",
-        [
-            (1, 2, 1),  # floor: never zero
-            (7, 2, 1),  # fewer than 4 chunks/worker -> singletons
-            (8, 2, 1),
-            (16, 2, 2),  # ~4 chunks per worker
-            (100, 4, 6),
-            (1000, 8, 31),
-        ],
-    )
-    def test_adaptive_chunksize(self, tasks, workers, expected):
-        assert _chunksize(tasks, workers) == expected

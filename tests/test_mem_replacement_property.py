@@ -123,3 +123,20 @@ def test_cache_evictions_identical_under_lru_and_reference(trace):
             hit_fast = fast.lookup(addr)
             hit_ref = ref.lookup(addr)
             assert (hit_fast is None) == (hit_ref is None)
+
+
+def test_replacement_knob_reaches_every_level():
+    from repro.harness.server import ServerConfig, SimulatedServer
+
+    server = SimulatedServer(
+        ServerConfig(app="touchdrop", ring_size=128, replacement="lru-ref")
+    )
+    hierarchy = server.hierarchy
+    assert hierarchy.llc.config.replacement == "lru-ref"
+    assert all(c.config.replacement == "lru-ref" for c in hierarchy.mlc)
+    assert all(
+        c.config.replacement == "lru-ref" for c in hierarchy.l1 if c is not None
+    )
+    # The cache's fused LRU fast path must disengage for non-default
+    # policies (it is keyed to the exact LRUPolicy type).
+    assert hierarchy.llc.data._lru_rows is None

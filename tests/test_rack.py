@@ -8,6 +8,7 @@ percentiles present in the summary.
 
 import pytest
 
+from repro.cache import cache_session
 from repro.core.policies import idio
 from repro.harness.runner import shutdown_pool
 from repro.obs.events import ServerCompletedEvent, ServerLaneSeries
@@ -170,6 +171,20 @@ class TestRackSweep:
         rack = SimulatedRack(config).with_checked_servers()
         summary = rack.run()
         assert summary.completed > 0
+
+    def test_lanes_cached_only_on_warm_rerun(self, tmp_path):
+        """Lane ``cached`` flags follow the summaries' cache status, under
+        the process-default cache and over the pool."""
+        config = small_config(num_servers=2, total_flows=256)
+        try:
+            with cache_session(tmp_path):
+                cold = SimulatedRack(config).run(jobs=2)
+                warm = SimulatedRack(config).run(jobs=2)
+        finally:
+            shutdown_pool()
+        assert [lane.cached for lane in cold.lanes] == [False, False]
+        assert [lane.cached for lane in warm.lanes] == [True, True]
+        assert warm.fingerprint == cold.fingerprint
 
 
 class TestRackLanes:

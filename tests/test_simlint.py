@@ -173,7 +173,7 @@ def test_src_repro_is_simlint_clean():
 PROGRAM_FIXTURE_CASES = [
     ("sim011_taint", "SIM011", 4),
     ("sim012_bus", "SIM012", 3),
-    ("sim013_digest", "SIM013", 3),
+    ("sim013_digest", "SIM013", 2),
     ("sim014_facade", "SIM014", 4),
     ("sim015_worker", "SIM015", 2),
 ]

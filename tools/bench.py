@@ -13,9 +13,9 @@ multi-core matrix:
   ``J <= N``, where ``N`` is this host's scheduler-visible core count
   (oversubscribed rows — e.g. jobs=2 on a 1-core host — are strictly
   slower and only add noise, so they are skipped).  Each row records
-  the worker count, the host core count, and the chunk size the runner
-  chose, so sweep-scaling regressions are attributable from the JSON
-  alone.  The pool is pre-warmed outside the timed region (steady-state
+  the worker count, the host core count, and the dispatch mode the
+  runner chose, so sweep-scaling regressions are attributable from the
+  JSON alone.  The pool is pre-warmed outside the timed region (steady-state
   sweep cost, not fork cost) and torn down between rows so no row
   inherits the previous row's workers;
 * ``fig10_quick_cached`` — the same sweep cold then warm through the
@@ -129,7 +129,6 @@ def _bench_fig10_quick(jobs: int) -> dict:
         "jobs": jobs,
         "cpus": runner.default_jobs(),
         "dispatch_mode": dispatch.get("mode"),
-        "chunksize": dispatch.get("chunksize"),
     }
     # Fresh workers for the next row: no row inherits this row's pool.
     runner.shutdown_pool()
@@ -208,7 +207,6 @@ def _bench_rack_quick() -> dict:
         "jobs": jobs,
         "cpus": runner.default_jobs(),
         "dispatch_mode": dispatch.get("mode"),
-        "chunksize": dispatch.get("chunksize"),
         "fingerprint": summary.fingerprint,
     }
     runner.shutdown_pool()
@@ -255,7 +253,6 @@ def _bench_tenants_quick() -> dict:
         "jobs": jobs,
         "cpus": runner.default_jobs(),
         "dispatch_mode": dispatch.get("mode"),
-        "chunksize": dispatch.get("chunksize"),
         "fingerprint": summary.fingerprint,
     }
     runner.shutdown_pool()

@@ -12,7 +12,7 @@ SIM004   ``__slots__`` required on hot-path classes
 SIM005   memory traffic goes through ``MemoryHierarchy.access(txn)``
 SIM006   EventBus subscriber signatures must match the event type
 SIM007   tick-vs-wall-time suffix hygiene (``sim.units`` conventions)
-SIM008   numpy imports gated behind ``repro.mem._vec``
+SIM008   no top-level numpy import in simulation code
 SIM009   rack code draws from seeded per-server RNG streams
 SIM010   cache writes go through the atomic store helper
 SIM016   tenant code draws from seeded per-tenant RNG streams
@@ -24,7 +24,7 @@ SIM016   tenant code draws from seeded per-tenant RNG streams
 =======  ==============================================================
 SIM011   nondeterministic taint must not reach fingerprint state
 SIM012   bus publish/subscribe wiring must pair up, typed
-SIM013   config/summary fields must be digest- and fingerprint-visible
+SIM013   config fields must be visible to the cache digest
 SIM014   the ``repro.api`` facade must not drift
 SIM015   worker paths keep module state process-local and writes atomic
 =======  ==============================================================

@@ -17,8 +17,10 @@ config field whose type that walk cannot canonicalize makes experiments
 silently uncacheable — or worse, a field excluded from the walk would
 let two *different* configs share a cache entry (a stale-hit bug).  Every
 field of the config dataclasses must therefore have a provably
-canonicalizable annotation, and every ``ExperimentSummary`` field must be
-read by ``fingerprint()`` or be an explicitly allowlisted diagnostic.
+canonicalizable annotation.  (The summary side needs no rule:
+``ExperimentSummary.fingerprint()`` is derived from the dataclass's
+fields, so a new field is fingerprinted unless it is named in
+``NONDETERMINISTIC_FIELDS``.)
 
 SIM014 — facade drift: ``repro/__init__`` and ``repro.api`` must export
 the same ``__all__``, every exported name must be bound in ``api.py``
@@ -48,7 +50,7 @@ from .rules import Violation
 PROGRAM_RULES: Dict[str, str] = {
     "SIM011": "nondeterministic taint reaches fingerprint-relevant state",
     "SIM012": "bus event published without a subscriber, or vice versa",
-    "SIM013": "config/summary field invisible to the cache digest or fingerprint",
+    "SIM013": "config field invisible to the cache digest",
     "SIM014": "repro.api facade drift (exports, docs, deprecated wrappers)",
     "SIM015": "worker-path mutation of shared module state or non-atomic write",
 }
@@ -200,7 +202,7 @@ def _check_cross_module_handler(
 
 
 # ----------------------------------------------------------------------
-# SIM013: digest / fingerprint coverage
+# SIM013: digest coverage
 # ----------------------------------------------------------------------
 
 #: Config dataclasses whose every field must survive the canonical walk.
@@ -216,14 +218,6 @@ DIGEST_IRRELEVANT: frozenset = frozenset()
 _CANONICAL_PRIMITIVES = {"int", "float", "str", "bool", "bytes", "None"}
 _CANONICAL_CONTAINERS = {"Optional", "List", "Dict", "Tuple", "Sequence", "Mapping", "list", "dict", "tuple"}
 _UNCANONICAL_HEADS = {"Set", "FrozenSet", "set", "frozenset", "Callable", "Any"}
-
-#: ``ExperimentSummary`` fields ``fingerprint()`` deliberately excludes:
-#: the experiment itself (it *keys* the comparison), the wall-clock
-#: diagnostics, and the sweep-runner bookkeeping mutated on retries.
-FINGERPRINT_EXEMPT_FIELDS = frozenset(
-    {"experiment", "wall_seconds", "events_per_second", "status", "attempts"}
-)
-
 
 def _annotation_problem(
     project: Project,
@@ -323,52 +317,6 @@ def check_digest_coverage(project: Project) -> List[Violation]:
                             f"digest: {problem}",
                         )
                     )
-    violations.extend(_check_fingerprint_coverage(project))
-    return violations
-
-
-def _check_fingerprint_coverage(project: Project) -> List[Violation]:
-    """Every summary field participates in fingerprint() or is exempt."""
-    violations: List[Violation] = []
-    for mod, info in project.classes_named("ExperimentSummary"):
-        if not info.is_dataclass:
-            continue
-        facts = project.modules[mod]
-        fingerprint = facts.functions.get("ExperimentSummary.fingerprint")
-        if fingerprint is None:
-            violations.append(
-                Violation(
-                    facts.file.path,
-                    info.node.lineno,
-                    info.node.col_offset,
-                    "SIM013",
-                    "ExperimentSummary defines no fingerprint() method",
-                )
-            )
-            continue
-        read: Set[str] = set()
-        for node in ast.walk(fingerprint.node):
-            if (
-                isinstance(node, ast.Attribute)
-                and isinstance(node.value, ast.Name)
-                and node.value.id == "self"
-            ):
-                read.add(node.attr)
-        for field_name, ann in info.fields:
-            if field_name in FINGERPRINT_EXEMPT_FIELDS or field_name in read:
-                continue
-            site = ann if ann is not None else info.node
-            violations.append(
-                Violation(
-                    facts.file.path,
-                    site.lineno,
-                    site.col_offset,
-                    "SIM013",
-                    f"ExperimentSummary.{field_name} is never read by "
-                    "fingerprint(): two differing runs would compare equal; "
-                    "fold it in or add it to FINGERPRINT_EXEMPT_FIELDS",
-                )
-            )
     return violations
 
 

@@ -20,9 +20,10 @@ through assignments, expressions, and **function and module boundaries**
 (summaries over the project call graph, iterated to a fixpoint), into
 the sinks that feed the determinism fingerprint:
 
-* ``ExperimentSummary(...)`` construction — except the documented
-  wall-clock diagnostic fields (:data:`SUMMARY_FIELD_ALLOWLIST`), which
-  the fingerprint deliberately excludes;
+* ``ExperimentSummary(...)`` / ``ExperimentResult(...)`` construction
+  — except the documented wall-clock diagnostic fields
+  (:data:`SUMMARY_FIELD_ALLOWLIST`), which the fingerprint deliberately
+  excludes;
 * ``fingerprint_digest(...)`` / ``config_digest(...)`` arguments;
 * ``<cache>.put(...)`` stores in modules that use ``repro.cache``;
 * the return value of any function named ``fingerprint``.
@@ -53,6 +54,9 @@ UNORDERED = "unordered"
 SUMMARY_FIELD_ALLOWLIST = frozenset(
     {"wall_seconds", "events_per_second", "status", "attempts"}
 )
+
+#: The summary types; ``ExperimentResult`` is a summary plus the server.
+SUMMARY_CLASSES = frozenset({"ExperimentSummary", "ExperimentResult"})
 
 #: Functions whose arguments feed a determinism digest directly.
 DIGEST_SINK_FUNCS = frozenset({"fingerprint_digest", "config_digest"})
@@ -436,7 +440,7 @@ class _BodyAnalyzer:
         elif isinstance(func, ast.Attribute):
             name = func.attr
 
-        if name == "ExperimentSummary":
+        if name in SUMMARY_CLASSES:
             for labels in arg_labels:
                 self._sink_hit(call, labels, "an ExperimentSummary field")
             for kw, labels in kw_labels.items():

@@ -25,7 +25,7 @@ RULES: Dict[str, str] = {
     "SIM005": "legacy memory-wrapper call; route through MemoryHierarchy.access()",
     "SIM006": "EventBus subscriber signature does not match the subscribed event type",
     "SIM007": "tick-vs-wall-time unit suffix mismatch (sim.units conventions)",
-    "SIM008": "unguarded top-level numpy import; route through repro.mem._vec",
+    "SIM008": "unguarded top-level numpy import in simulation code",
     "SIM009": "shared or module-level RNG in rack/fleet code; use seeded per-server streams",
     "SIM010": "cache write outside the atomic store helper (repro.cache)",
     "SIM016": "shared or module-level RNG in tenant code; use seeded per-tenant streams",
@@ -34,19 +34,28 @@ RULES: Dict[str, str] = {
 #: Packages whose modules count as simulation code (SIM001/002/003/007).
 SIM_SCOPE = ("repro.sim", "repro.mem", "repro.core", "repro.nic", "repro.cpu", "repro.pcie")
 
-#: Packages whose modules count as rack/fleet code (SIM009).  Fleet code
-#: fans per-server work across processes, so any randomness must come
-#: from a seeded per-server stream (``repro.rack.server_rng``) — shared
-#: module-level RNG state silently decorrelates serial and sharded runs.
-RACK_SCOPE = ("repro.rack",)
-
-#: Packages whose modules count as tenant code (SIM016).  A tenant's
-#: stochastic draws (traffic shapes, antagonist walks) must come from a
-#: seeded per-tenant stream (``repro.tenants.tenant_rng``) so adding or
-#: reordering tenants never perturbs another tenant's arrivals; shared
-#: or module-level RNG state couples the tenants and breaks the
-#: serial-vs-pool fingerprint guarantee.
-TENANT_SCOPE = ("repro.tenants",)
+#: Tiers whose randomness must come from seeded per-instance streams:
+#: package -> (rule, instance noun, advice, what a module-global draw
+#: does).  Rack code fans per-server work across processes and tenant
+#: code composes tenants on one server; either way shared or
+#: module-level RNG state couples the instances and silently breaks the
+#: serial-vs-pool fingerprint guarantee (SIM009, SIM016).
+SEEDED_STREAM_SCOPES: Dict[str, Tuple[str, str, str, str]] = {
+    "repro.rack": (
+        "SIM009",
+        "server",
+        "rack code must draw from a seeded per-server stream "
+        "(see repro.rack.server_rng)",
+        "shares one stream across the fleet",
+    ),
+    "repro.tenants": (
+        "SIM016",
+        "tenant",
+        "tenant code must draw from a seeded per-tenant stream "
+        "(see repro.tenants.tenant_rng)",
+        "couples every tenant's draws",
+    ),
+}
 
 #: Packages whose modules count as result-cache code (SIM010).  The
 #: cache's correctness rests on readers never seeing a torn entry, so
@@ -65,11 +74,6 @@ WALLCLOCK_EXEMPT = {"repro.sim.kernel"}
 
 #: Modules whose classes are on the per-transaction hot path (SIM004).
 SLOTS_MODULES = {"repro.mem.line", "repro.mem.cache", "repro.sim.event", "repro.pcie.tlp"}
-
-#: The one module allowed to import numpy at top level (inside its guard):
-#: everything else branches on ``repro.mem._vec.HAVE_NUMPY`` so a missing
-#: numpy can never break ``import repro`` (SIM008).
-NUMPY_GATE_MODULES = {"repro.mem._vec"}
 
 #: ``time`` module functions that read the host clock.
 _TIME_FUNCS = {
@@ -140,12 +144,11 @@ def _in_sim_scope(module: str) -> bool:
     return any(module == p or module.startswith(p + ".") for p in SIM_SCOPE)
 
 
-def _in_rack_scope(module: str) -> bool:
-    return any(module == p or module.startswith(p + ".") for p in RACK_SCOPE)
-
-
-def _in_tenant_scope(module: str) -> bool:
-    return any(module == p or module.startswith(p + ".") for p in TENANT_SCOPE)
+def _seeded_stream_scope(module: str) -> Optional[Tuple[str, str, str, str]]:
+    for package, scope in SEEDED_STREAM_SCOPES.items():
+        if module == package or module.startswith(package + "."):
+            return scope
+    return None
 
 
 def _in_cache_scope(module: str) -> bool:
@@ -197,12 +200,10 @@ class _Checker(ast.NodeVisitor):
         self.path = path
         self.violations: List[Violation] = []
         self.sim_scope = _in_sim_scope(module)
-        self.rack_scope = _in_rack_scope(module)
-        self.tenant_scope = _in_tenant_scope(module)
+        self.seeded_stream_scope = _seeded_stream_scope(module)
         self.cache_scope = _in_cache_scope(module)
         self.slots_scope = module in SLOTS_MODULES
         self.wallclock_exempt = module in WALLCLOCK_EXEMPT
-        self.numpy_gate = module in NUMPY_GATE_MODULES
         #: >0 while inside a try: whose handlers catch an import failure.
         self._import_guard_depth = 0
         #: >0 while inside any function body (lazy imports are fine).
@@ -291,15 +292,15 @@ class _Checker(ast.NodeVisitor):
     # -- SIM008: unguarded top-level numpy imports ---------------------
 
     def _check_numpy_import(self, node: ast.AST) -> None:
-        if not self.sim_scope or self.numpy_gate:
+        if not self.sim_scope:
             return
         if self._function_depth or self._import_guard_depth:
             return
         self._emit(
             node,
             "SIM008",
-            "top-level numpy import outside repro.mem._vec; branch on "
-            "_vec.HAVE_NUMPY so a numpy-free host still imports cleanly",
+            "top-level numpy import in simulation code; numpy is not a "
+            "dependency, so a numpy-free host must still import cleanly",
         )
 
     def visit_Try(self, node: ast.Try) -> None:
@@ -515,10 +516,8 @@ class _Checker(ast.NodeVisitor):
             self._check_wallclock(node, func, name)
         if self.sim_scope:
             self._check_randomness(node, func, name)
-        if self.rack_scope:
-            self._check_rack_randomness(node, func, name)
-        if self.tenant_scope:
-            self._check_tenant_randomness(node, func, name)
+        if self.seeded_stream_scope is not None:
+            self._check_seeded_streams(node, func, name)
         if self.cache_scope:
             self._check_cache_write(node, func, name)
         if self.module.startswith("repro.") and not self.module.startswith("repro.mem"):
@@ -601,22 +600,20 @@ class _Checker(ast.NodeVisitor):
                     "explicit seed",
                 )
 
-    def _check_rack_randomness(
+    def _check_seeded_streams(
         self, node: ast.Call, func: ast.AST, name: Optional[str]
     ) -> None:
-        """SIM009: fleet code must derive randomness per server, per seed.
+        """SIM009 / SIM016: draw per instance (server, tenant), per seed.
 
         Three shapes are rejected: module-global ``random.*()`` calls
-        (one shared stream for the whole rack), unseeded ``Random()``
+        (one stream shared by every instance), unseeded ``Random()``
         construction, and ``Random(seed)`` created at module level (a
-        shared instance every server would consume from).  The blessed
+        shared instance every instance would consume from).  The blessed
         shape is a seeded ``Random`` built *inside* a function from a
-        value mixed with the server index (``repro.rack.server_rng``).
+        value mixed with the instance index (the scope's helper, e.g.
+        ``repro.rack.server_rng``).
         """
-        advice = (
-            "rack code must draw from a seeded per-server stream "
-            "(see repro.rack.server_rng)"
-        )
+        rule, noun, advice, shared = self.seeded_stream_scope
         if (
             isinstance(func, ast.Attribute)
             and isinstance(func.value, ast.Name)
@@ -625,113 +622,38 @@ class _Checker(ast.NodeVisitor):
             if name == "Random":
                 if not node.args and not node.keywords:
                     self._emit(
-                        node, "SIM009", f"random.Random() without a seed; {advice}"
+                        node, rule, f"random.Random() without a seed; {advice}"
                     )
                 elif self._function_depth == 0:
                     self._emit(
                         node,
-                        "SIM009",
+                        rule,
                         f"module-level random.Random(...) is one shared "
-                        f"stream for every server; {advice}",
+                        f"stream for every {noun}; {advice}",
                     )
             elif name == "SystemRandom":
                 self._emit(
-                    node, "SIM009", f"SystemRandom is inherently unseeded; {advice}"
+                    node, rule, f"SystemRandom is inherently unseeded; {advice}"
                 )
             else:
                 self._emit(
-                    node,
-                    "SIM009",
-                    f"module-global random.{name}() shares one stream "
-                    f"across the fleet; {advice}",
+                    node, rule, f"module-global random.{name}() {shared}; {advice}"
                 )
             return
         if isinstance(func, ast.Name):
             if func.id in self.random_func_names:
                 self._emit(
-                    node,
-                    "SIM009",
-                    f"module-global {func.id}() shares one stream across "
-                    f"the fleet; {advice}",
+                    node, rule, f"module-global {func.id}() {shared}; {advice}"
                 )
             elif func.id in self.random_class_names:
                 if not node.args and not node.keywords:
-                    self._emit(
-                        node, "SIM009", f"Random() without a seed; {advice}"
-                    )
+                    self._emit(node, rule, f"Random() without a seed; {advice}")
                 elif self._function_depth == 0:
                     self._emit(
                         node,
-                        "SIM009",
+                        rule,
                         f"module-level Random(...) is one shared stream "
-                        f"for every server; {advice}",
-                    )
-
-    def _check_tenant_randomness(
-        self, node: ast.Call, func: ast.AST, name: Optional[str]
-    ) -> None:
-        """SIM016: tenant code must derive randomness per tenant, per seed.
-
-        Mirrors SIM009 for the tenant tier: module-global ``random.*()``
-        calls (one stream coupling every tenant), unseeded ``Random()``
-        construction, and module-level ``Random(seed)`` (a shared
-        instance every tenant would consume from) are all rejected.  The
-        blessed shape is a seeded ``Random`` built *inside* a function
-        from the sweep seed mixed with the tenant id
-        (``repro.tenants.tenant_rng``).
-        """
-        advice = (
-            "tenant code must draw from a seeded per-tenant stream "
-            "(see repro.tenants.tenant_rng)"
-        )
-        if (
-            isinstance(func, ast.Attribute)
-            and isinstance(func.value, ast.Name)
-            and func.value.id in self.random_aliases
-        ):
-            if name == "Random":
-                if not node.args and not node.keywords:
-                    self._emit(
-                        node, "SIM016", f"random.Random() without a seed; {advice}"
-                    )
-                elif self._function_depth == 0:
-                    self._emit(
-                        node,
-                        "SIM016",
-                        f"module-level random.Random(...) is one shared "
-                        f"stream for every tenant; {advice}",
-                    )
-            elif name == "SystemRandom":
-                self._emit(
-                    node, "SIM016", f"SystemRandom is inherently unseeded; {advice}"
-                )
-            else:
-                self._emit(
-                    node,
-                    "SIM016",
-                    f"module-global random.{name}() couples every tenant's "
-                    f"draws; {advice}",
-                )
-            return
-        if isinstance(func, ast.Name):
-            if func.id in self.random_func_names:
-                self._emit(
-                    node,
-                    "SIM016",
-                    f"module-global {func.id}() couples every tenant's "
-                    f"draws; {advice}",
-                )
-            elif func.id in self.random_class_names:
-                if not node.args and not node.keywords:
-                    self._emit(
-                        node, "SIM016", f"Random() without a seed; {advice}"
-                    )
-                elif self._function_depth == 0:
-                    self._emit(
-                        node,
-                        "SIM016",
-                        f"module-level Random(...) is one shared stream "
-                        f"for every tenant; {advice}",
+                        f"for every {noun}; {advice}",
                     )
 
     def _check_cache_write(
