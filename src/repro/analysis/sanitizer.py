@@ -19,9 +19,10 @@ Every failure raises :class:`InvariantViolation` naming the violated
 invariant, so a seeded-bug test (or a CI ``repro check`` run) points at
 the broken model property, not a downstream symptom.
 
-The sanitizer deliberately reads private fields of the cache containers
-(``_sets``/``_where``/``_last_use``): it is a white-box checker and the
-structural invariants *are* statements about that private state.
+The sanitizer deliberately reads the raw state of the cache containers
+(the flat ``words``/``where``/``ticks`` slot arrays and the directory's
+owner bitmasks): it is a white-box checker and the structural invariants
+*are* statements about that state.
 
 Checked mode is strictly opt-in (``ServerConfig.checked_mode``); with it
 off, no sanitizer exists and the transaction hot path is untouched,
@@ -36,7 +37,7 @@ from ..core.fsm import STATE_MAX, STATE_MIN
 from ..faults.events import FaultEvent
 from ..mem.cache import SetAssociativeCache
 from ..mem.hierarchy import MemoryHierarchy
-from ..mem.replacement import LRUPolicy
+from ..mem.line import DIRTY, IO, LINE_SIZE, _LINE_MASK
 from ..mem.transaction import DMA_WRITE, KINDS, PREFETCH_FILL, MemoryTransaction
 
 
@@ -280,6 +281,7 @@ class InvariantSanitizer:
     def _check_hierarchy_state(self) -> None:
         h = self.hierarchy
         llc_data = h.llc.data
+        dir_masks = h.llc.directory.masks
         for core in range(h.config.num_cores):
             mlc = h.mlc[core].data
             # Non-inclusive exclusivity: a line in some private MLC must
@@ -287,34 +289,34 @@ class InvariantSanitizer:
             # would double-count LLC occupancy and distort every
             # DDIO-way / DMA-bloat statistic the figures report.
             if not h.llc.inclusive:
-                for line in mlc.lines():
-                    if line.addr in llc_data:
+                for word in mlc.lines():
+                    if word & _LINE_MASK in llc_data.where:
                         raise InvariantViolation(
                             "mlc-llc-exclusivity",
-                            f"line {line.addr:#x} resident in core {core}'s "
-                            "MLC and in the LLC data array at once "
+                            f"line {word & _LINE_MASK:#x} resident in core "
+                            f"{core}'s MLC and in the LLC data array at once "
                             "(non-inclusive hierarchy)",
                         )
             l1 = h.l1[core]
             if l1 is not None:
-                for line in l1.data.lines():
+                for word in l1.data.lines():
                     # L1 ⊆ MLC by design (the hierarchy back-invalidates
                     # L1 on MLC eviction).
-                    if line.addr not in mlc:
+                    if word & _LINE_MASK not in mlc.where:
                         raise InvariantViolation(
                             "l1-inclusion",
-                            f"line {line.addr:#x} in core {core}'s L1 has no "
-                            "MLC copy (L1 must be inclusive in MLC)",
+                            f"line {word & _LINE_MASK:#x} in core {core}'s L1 "
+                            "has no MLC copy (L1 must be inclusive in MLC)",
                         )
-            # Snoop-filter coverage: every MLC-resident line must be
-            # tracked by the directory, else coherence (DMA invalidation,
-            # c2c) silently misses the copy.
-            for line in mlc.lines():
-                if core not in h.llc.directory.owners(line.addr):
+            # Snoop-filter coverage: every MLC-resident line must have
+            # the core's bit set in its directory owner mask, else
+            # coherence (DMA invalidation, c2c) silently misses the copy.
+            for word in mlc.lines():
+                if not dir_masks.get(word & _LINE_MASK, 0) >> core & 1:
                     raise InvariantViolation(
                         "directory-coverage",
-                        f"line {line.addr:#x} in core {core}'s MLC is not "
-                        "tracked by the snoop-filter directory",
+                        f"line {word & _LINE_MASK:#x} in core {core}'s MLC is "
+                        "not tracked by the snoop-filter directory",
                     )
 
     def _check_cache_structures(self) -> None:
@@ -330,47 +332,52 @@ class InvariantSanitizer:
 
     def _check_one_cache(self, name: str, cache: SetAssociativeCache) -> None:
         occupied = 0
-        for set_idx, cache_set in enumerate(cache._sets):
-            for way, line in enumerate(cache_set):
-                if line is None:
-                    continue
-                occupied += 1
-                loc = cache._where.get(line.addr)
-                if loc != (set_idx, way):
-                    raise InvariantViolation(
-                        "cache-structure",
-                        f"{name}: line {line.addr:#x} stored at "
-                        f"({set_idx}, {way}) but indexed at {loc}",
-                    )
-                if cache.set_index(line.addr) != set_idx:
-                    raise InvariantViolation(
-                        "cache-structure",
-                        f"{name}: line {line.addr:#x} in set {set_idx} but "
-                        f"hashes to set {cache.set_index(line.addr)}",
-                    )
-        if occupied != len(cache._where):
+        stray_bits = (LINE_SIZE - 1) & ~(DIRTY | IO)
+        for slot, word in enumerate(cache.words):
+            if word < 0:
+                continue
+            occupied += 1
+            addr = word & _LINE_MASK
+            set_idx, way = divmod(slot, cache.assoc)
+            if word & stray_bits:
+                raise InvariantViolation(
+                    "cache-structure",
+                    f"{name}: word {word:#x} at ({set_idx}, {way}) carries "
+                    "bits other than DIRTY/IO below the line offset",
+                )
+            if cache.where.get(addr) != slot:
+                raise InvariantViolation(
+                    "cache-structure",
+                    f"{name}: line {addr:#x} stored in slot {slot} "
+                    f"({set_idx}, {way}) but indexed at {cache.where.get(addr)}",
+                )
+            if cache.set_index(addr) != set_idx:
+                raise InvariantViolation(
+                    "cache-structure",
+                    f"{name}: line {addr:#x} in set {set_idx} but "
+                    f"hashes to set {cache.set_index(addr)}",
+                )
+        if occupied != len(cache.where):
             raise InvariantViolation(
                 "cache-structure",
                 f"{name}: {occupied} occupied ways but "
-                f"{len(cache._where)} index entries",
+                f"{len(cache.where)} index entries",
             )
-        policy = cache.policy
-        if isinstance(policy, LRUPolicy):
-            for set_idx, cache_set in enumerate(cache._sets):
-                row = policy._last_use[set_idx]
-                for way, line in enumerate(cache_set):
-                    if line is not None and row[way] <= 0:
-                        raise InvariantViolation(
-                            "lru-consistency",
-                            f"{name}: occupied way ({set_idx}, {way}) has no "
-                            "LRU recency stamp",
-                        )
-                    if line is None and row[way] != 0:
-                        raise InvariantViolation(
-                            "lru-consistency",
-                            f"{name}: empty way ({set_idx}, {way}) carries a "
-                            f"stale LRU stamp {row[way]}",
-                        )
+        ticks = cache.ticks
+        if ticks is not None:
+            for slot, (word, tick) in enumerate(zip(cache.words, ticks)):
+                if word >= 0 and tick <= 0:
+                    raise InvariantViolation(
+                        "lru-consistency",
+                        f"{name}: occupied way {divmod(slot, cache.assoc)} "
+                        "has no LRU recency stamp",
+                    )
+                if word < 0 and tick != 0:
+                    raise InvariantViolation(
+                        "lru-consistency",
+                        f"{name}: empty way {divmod(slot, cache.assoc)} "
+                        f"carries a stale LRU stamp {tick}",
+                    )
 
     def _check_fsm_states(self) -> None:
         if self._controller is None:

@@ -12,13 +12,13 @@ like a store) and enforces the PTE permission check.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterator, Optional, Tuple
 
 from ..mem.hierarchy import MemoryHierarchy
-from ..mem.line import lines_spanning
+from ..mem.line import DIRTY, lines_spanning
 from ..mem.transaction import INVALIDATE, MemoryTransaction
 from ..sim import units
-from .pagetable import PageTable
+from .pagetable import PAGE_SIZE, PageTable
 
 
 class MaintenanceUnit:
@@ -50,33 +50,37 @@ class MaintenanceUnit:
 
         Returns the instruction cost in ticks.  Raises
         :class:`~repro.cpu.pagetable.InvalidatePermissionError` when the
-        page table is attached and any page lacks the Invalidatable bit.
+        page table is attached and any page lacks the Invalidatable bit;
+        the lines of the pages before it are invalidated by then.  The
+        bit is per 4 KB page, so it is checked once per page, not per line.
         """
         hierarchy = self.hierarchy
         page_table = self.page_table
+        retained = hierarchy.record_hops or hierarchy._txn_subs
+        access = hierarchy.access
+        run = hierarchy._run_invalidate
+        txn = self._scratch_txn
+        txn.now = now
+        txn.scope = self.scope
         lines = 0
-        if hierarchy.record_hops or hierarchy._txn_subs:
-            access = hierarchy.access
-            for addr in lines_spanning(base, num_bytes):
-                if page_table is not None:
-                    page_table.check_invalidate(addr)
-                access(
-                    MemoryTransaction(
-                        INVALIDATE, addr, now, core=self.core, scope=self.scope
+        for start, length in _page_spans(base, num_bytes):
+            if page_table is not None:
+                page_table.check_invalidate(start)
+            if retained:
+                for addr in lines_spanning(start, length):
+                    access(
+                        MemoryTransaction(
+                            INVALIDATE, addr, now, core=self.core, scope=self.scope
+                        )
                     )
-                )
-                lines += 1
-        else:
-            run = hierarchy._run_invalidate
-            txn = self._scratch_txn
-            txn.now = now
-            txn.scope = self.scope
-            for addr in lines_spanning(base, num_bytes):
-                if page_table is not None:
-                    page_table.check_invalidate(addr)
-                txn.addr = addr
-                run(txn)
-                lines += 1
+                    lines += 1
+            else:
+                # Nothing retains the transaction: reuse the scratch one
+                # and call the handler directly.
+                for addr in lines_spanning(start, length):
+                    txn.addr = addr
+                    run(txn)
+                    lines += 1
         self.invalidated_lines += lines
         return lines * self.INVALIDATE_LINE_COST
 
@@ -87,11 +91,13 @@ class MaintenanceUnit:
         """
         cost = 0
         for addr in lines_spanning(base, num_bytes):
-            line = self.hierarchy.mlc[self.core].peek(addr)
-            dirty = bool(line and line.dirty)
-            llc_line = self.hierarchy.llc.peek(addr)
-            if llc_line is not None and llc_line.dirty:
-                dirty = True
+            dirty = any(
+                word >= 0 and word & DIRTY
+                for word in (
+                    self.hierarchy.mlc[self.core].peek(addr),
+                    self.hierarchy.llc.peek(addr),
+                )
+            )
             # Drop all cached copies; dirty data goes to DRAM.
             self.hierarchy.access(
                 MemoryTransaction(INVALIDATE, addr, now, core=self.core, scope="all")
@@ -100,3 +106,14 @@ class MaintenanceUnit:
                 self.hierarchy.dram.write(addr, now)
             cost += self.INVALIDATE_LINE_COST
         return cost
+
+
+def _page_spans(base: int, num_bytes: int) -> Iterator[Tuple[int, int]]:
+    """Split ``[base, base+num_bytes)`` at page boundaries into
+    ``(start, length)`` spans."""
+    end = base + num_bytes
+    start = base
+    while start < end:
+        stop = min(end, (start // PAGE_SIZE + 1) * PAGE_SIZE)
+        yield start, stop - start
+        start = stop

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import atexit
 import contextlib
+import gc
 import multiprocessing
 import os
 import pickle
@@ -69,6 +70,11 @@ def run_experiment_summary(experiment: Experiment) -> ExperimentSummary:
     result = run_experiment(experiment)
     summary = result.summary()
     result.drop_server()
+    # The server graph is cyclic (bus subscribers are bound methods of
+    # components that hold the bus), so dropping the reference frees
+    # nothing until a generation-2 collection, which a run allocating
+    # few objects may never trigger.  Collect it now.
+    gc.collect()
     return summary
 
 

@@ -46,7 +46,7 @@ from ..cpu.mempool import BufferPool
 from ..cpu.pagetable import PageTable
 from ..faults import FaultEvent, FaultInjectors, FaultPlan
 from ..mem.hierarchy import HierarchyConfig, MemoryHierarchy
-from ..mem.line import num_lines
+from ..mem.line import IO, _LINE_MASK, num_lines
 from ..mem.stats import StatsBundle
 from ..net.flow import make_flow, make_tenant_flow
 from ..net.packet import MTU_FRAME_BYTES, Packet
@@ -830,9 +830,9 @@ class SimulatedServer:
         counter_values = self.hierarchy._counter_values
         way_table = llc.tenant_way_table()
         io_lines: Dict[int, int] = {}
-        for line in llc.data.lines():
-            if line.origin == "io":
-                owner = self.hierarchy.tenant_of_addr(line.addr)
+        for word in llc.data.lines():
+            if word & IO:
+                owner = self.hierarchy.tenant_of_addr(word & _LINE_MASK)
                 if owner >= 0:
                     io_lines[owner] = io_lines.get(owner, 0) + 1
         stats: Dict[int, Dict[str, float]] = {}

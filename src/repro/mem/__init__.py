@@ -10,7 +10,7 @@ from .hierarchy import (
     default_llc_config,
     default_mlc_config,
 )
-from .line import LINE_SIZE, CacheLine, line_address, lines_spanning, num_lines
+from .line import DIRTY, IO, LINE_SIZE, line_address, line_word, lines_spanning, num_lines
 from .llc import NonInclusiveLLC, SnoopFilterDirectory
 from .mlc import PrivateCache
 from .replacement import LRUPolicy, RandomPolicy, TreePLRUPolicy, make_policy
@@ -34,8 +34,8 @@ __all__ = [
     "CPU_LOAD",
     "CPU_STORE",
     "CacheConfig",
-    "CacheLine",
     "Counter",
+    "DIRTY",
     "DMA_READ",
     "DMA_WRITE",
     "DRAM",
@@ -44,6 +44,7 @@ __all__ = [
     "HierarchyStatsSubscriber",
     "Hop",
     "INVALIDATE",
+    "IO",
     "KINDS",
     "LINE_SIZE",
     "LRUPolicy",
@@ -62,6 +63,7 @@ __all__ = [
     "default_llc_config",
     "default_mlc_config",
     "line_address",
+    "line_word",
     "lines_spanning",
     "make_policy",
     "num_lines",

@@ -14,10 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .line import LINE_SIZE, CacheLine, line_address
+from .line import DIRTY, IO, LINE_SIZE, NO_LINE, _LINE_MASK
 from .replacement import LRUPolicy, ReplacementPolicy, make_policy
-
-_LINE_MASK = ~(LINE_SIZE - 1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -54,24 +52,32 @@ class CacheConfig:
 
 
 class SetAssociativeCache:
-    """A set-associative cache storing :class:`CacheLine` objects.
+    """A set-associative cache of line words (see :mod:`repro.mem.line`).
 
-    Lookup/insert/remove are O(assoc).  The container holds no timing; it
-    is pure state plus replacement bookkeeping.
+    The state is three flat structures indexed by *slot*
+    (``set_idx * assoc + way``): ``words`` (the resident line word, or
+    ``-1`` for an empty way), the replacement policy's recency state, and
+    ``where``, an ``addr -> slot`` dict.  For the default ``lru`` policy
+    the recency state is the flat ``ticks`` list the cache bumps inline;
+    any other policy goes through the generic on_access/victim protocol.
+
+    Lookup/insert/remove are O(assoc) and allocate nothing.  The container
+    holds no timing; it is pure state plus replacement bookkeeping.
     """
 
     __slots__ = (
         "config",
         "num_sets",
         "assoc",
-        "_sets",
-        "_where",
+        "words",
+        "where",
+        "ticks",
         "policy",
+        "_lru",
         "_all_ways",
         "_mask_cache",
         "_line_shift",
         "_set_mask",
-        "_lru_rows",
     )
 
     def __init__(self, config: CacheConfig) -> None:
@@ -79,43 +85,44 @@ class SetAssociativeCache:
         self.config = config
         self.num_sets = config.num_sets
         self.assoc = config.assoc
-        self._sets: List[List[Optional[CacheLine]]] = [
-            [None] * self.assoc for _ in range(self.num_sets)
-        ]
-        self._where: Dict[int, Tuple[int, int]] = {}
-        self.policy: ReplacementPolicy = make_policy(
-            config.replacement, self.num_sets, self.assoc
-        )
+        self.words: List[int] = [NO_LINE] * (self.num_sets * self.assoc)
+        self.where: Dict[int, int] = {}
+        policy = make_policy(config.replacement, self.num_sets, self.assoc)
+        self.policy: ReplacementPolicy = policy
+        # The exact default LRU policy is run inline: the fill path bumps
+        # its flat tick list directly and fuses the free-way scan with the
+        # victim scan.  ``ticks`` is None for every other policy.
+        self._lru: Optional[LRUPolicy] = None
+        self.ticks: Optional[List[int]] = None
+        if type(policy) is LRUPolicy:
+            self._lru = policy
+            self.ticks = policy.ticks
         self._all_ways: Tuple[int, ...] = tuple(range(self.assoc))
         #: Validated way masks keyed by their tuple form (masks repeat:
         #: the DDIO ways, the CPU fill order, per-core CAT masks).
         self._mask_cache: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
-        # Shift/mask fast path for set indexing (both the line size and —
-        # for all shipped geometries — the set count are powers of two).
+        # Shift/mask fast path for set indexing, taken when the line size
+        # and the set count are both powers of two (all shipped
+        # geometries); ``_line_shift`` is -1 otherwise.
         line_size = config.line_size
-        self._line_shift = (
-            line_size.bit_length() - 1 if line_size & (line_size - 1) == 0 else -1
-        )
-        self._set_mask = (
-            self.num_sets - 1 if self.num_sets & (self.num_sets - 1) == 0 else -1
-        )
-        # Fast-path recency: for the exact default LRU policy the cache
-        # bumps the policy's per-set tick rows directly, fusing the
-        # free-way scan and the victim scan into one pass over the set.
-        # Any other policy (plru, random, the reference/vectorized LRUs)
-        # goes through the generic on_access/victim protocol.
-        self._lru_rows: Optional[List[List[int]]] = (
-            self.policy._last_use if type(self.policy) is LRUPolicy else None
-        )
+        pow2 = not line_size & (line_size - 1) and not self.num_sets & (self.num_sets - 1)
+        self._line_shift = line_size.bit_length() - 1 if pow2 else -1
+        self._set_mask = self.num_sets - 1
 
     # -- addressing ---------------------------------------------------
 
     def set_index(self, addr: int) -> int:
-        if self._line_shift >= 0 and self._set_mask >= 0:
+        if self._line_shift >= 0:
             return (addr >> self._line_shift) & self._set_mask
         return (addr // self.config.line_size) % self.num_sets
 
-    def _validated_mask(self, key: Tuple[int, ...]) -> Tuple[int, ...]:
+    def way_mask(self, ways: Sequence[int]) -> Tuple[int, ...]:
+        """``ways`` as a validated tuple (the form :meth:`insert` takes
+        without re-validating)."""
+        key = tuple(ways)
+        cached = self._mask_cache.get(key)
+        if cached is not None:
+            return cached
         if not key:
             raise ValueError(f"{self.config.name}: empty way mask")
         for w in key:
@@ -129,154 +136,147 @@ class SetAssociativeCache:
     # -- queries ------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._where)
+        return len(self.where)
 
     def __contains__(self, addr: int) -> bool:
-        return line_address(addr) in self._where
+        return addr & _LINE_MASK in self.where
 
-    def peek(self, addr: int) -> Optional[CacheLine]:
-        """Return the resident line without touching recency state."""
-        loc = self._where.get(line_address(addr))
-        if loc is None:
-            return None
-        return self._sets[loc[0]][loc[1]]
+    def peek(self, addr: int) -> int:
+        """The resident line word (``-1`` if absent); recency untouched."""
+        slot = self.where.get(addr & _LINE_MASK)
+        return NO_LINE if slot is None else self.words[slot]
 
-    def lookup(self, addr: int) -> Optional[CacheLine]:
-        """Return the resident line and update recency (a cache hit)."""
-        loc = self._where.get(addr & _LINE_MASK)
-        if loc is None:
-            return None
-        set_idx, way = loc
-        rows = self._lru_rows
-        if rows is not None:
-            policy = self.policy
-            tick = policy._tick + 1
-            policy._tick = tick
-            rows[set_idx][way] = tick
+    def lookup(self, addr: int) -> int:
+        """The resident line's slot (``-1`` if absent); a hit, so recency
+        is updated.  Callers update the line through ``words[slot]``."""
+        slot = self.where.get(addr & _LINE_MASK)
+        if slot is None:
+            return NO_LINE
+        self.touch(slot)
+        return slot
+
+    def touch(self, slot: int) -> None:
+        """Record a hit on the line in ``slot`` (recency update only).
+
+        The hierarchy's hot paths probe ``where`` themselves and call this
+        only on a hit, so a miss costs one dict lookup and no call.
+        """
+        lru = self._lru
+        if lru is not None:
+            tick = lru.tick + 1
+            lru.tick = tick
+            self.ticks[slot] = tick  # type: ignore[index]
         else:
-            self.policy.on_access(set_idx, way)
-        return self._sets[set_idx][way]
+            self.policy.on_access(*divmod(slot, self.assoc))
 
-    def lines(self) -> Iterator[CacheLine]:
-        """Iterate over all resident lines (test/diagnostic use)."""
-        for cache_set in self._sets:
-            for entry in cache_set:
-                if entry is not None:
-                    yield entry
+    def lines(self) -> Iterator[int]:
+        """Iterate over the words of all resident lines (diagnostic use)."""
+        for word in self.words:
+            if word >= 0:
+                yield word
 
     def occupancy_by_origin(self) -> Dict[str, int]:
-        """Count resident lines by their ``origin`` tag (DMA bloat stats)."""
+        """Count resident lines by origin, ``io`` or ``cpu`` (DMA bloat stats)."""
         counts: Dict[str, int] = {}
-        for entry in self.lines():
-            counts[entry.origin] = counts.get(entry.origin, 0) + 1
+        for word in self.lines():
+            origin = "io" if word & IO else "cpu"
+            counts[origin] = counts.get(origin, 0) + 1
         return counts
 
     # -- mutation -----------------------------------------------------
 
-    def insert(
-        self,
-        line: CacheLine,
-        way_mask: Optional[Sequence[int]] = None,
-    ) -> Optional[CacheLine]:
-        """Insert ``line``; return the evicted victim line, if any.
+    def insert(self, word: int, ways: Optional[Sequence[int]] = None) -> int:
+        """Insert the line ``word``; return the evicted victim's word or ``-1``.
 
-        ``way_mask`` restricts which ways the fill may use (and therefore
-        which resident lines may be evicted).  If the line is already
-        resident this degenerates to an in-place update (dirty OR-ed in,
-        recency touched) and returns ``None``.
+        ``ways`` restricts which ways the fill may use (and therefore which
+        resident lines may be evicted), in preference order for empty
+        ways.  If the line is already resident this degenerates to an
+        in-place update (dirty OR-ed in, origin replaced, recency touched)
+        and returns ``-1``.
         """
-        addr = line.addr
-        where = self._where
-        existing_loc = where.get(addr)
-        rows = self._lru_rows
-        if existing_loc is not None:
-            set_idx, way = existing_loc
-            resident = self._sets[set_idx][way]
-            assert resident is not None
-            resident.dirty = resident.dirty or line.dirty
-            resident.origin = line.origin
-            resident.owner = line.owner
-            if rows is not None:
-                policy = self.policy
-                tick = policy._tick + 1
-                policy._tick = tick
-                rows[set_idx][way] = tick
-            else:
-                self.policy.on_access(set_idx, way)
-            return None
+        addr = word & _LINE_MASK
+        where = self.where
+        words = self.words
+        lru = self._lru
+        slot = where.get(addr)
+        if slot is not None:
+            words[slot] = word | (words[slot] & DIRTY)
+            self.touch(slot)
+            return NO_LINE
 
-        if self._line_shift >= 0 and self._set_mask >= 0:
-            set_idx = (addr >> self._line_shift) & self._set_mask
+        shift = self._line_shift
+        if shift >= 0:
+            set_idx = (addr >> shift) & self._set_mask
         else:
             set_idx = (addr // self.config.line_size) % self.num_sets
-        if way_mask is None:
-            ways: Tuple[int, ...] = self._all_ways
+        if ways is None:
+            ways = self._all_ways
         else:
-            key = tuple(way_mask)
-            ways = self._mask_cache.get(key) or self._validated_mask(key)
+            validated = self._mask_cache.get(ways) if type(ways) is tuple else None
+            ways = validated or self.way_mask(ways)
+        base = set_idx * self.assoc
+        victim = NO_LINE
 
-        cache_set = self._sets[set_idx]
-        victim: Optional[CacheLine] = None
-
-        if rows is not None:
+        if lru is not None:
             # Fused scan: one pass finds the first free way *and* tracks
-            # the LRU victim among occupied ways, so a full set costs one
-            # traversal instead of free-scan + policy.victim + bookkeeping
-            # calls.  Tie-break (first eligible among never-touched ways)
-            # matches LRUPolicy.victim exactly.
-            row = rows[set_idx]
-            target_way = -1
-            best_way = -1
+            # the LRU victim among occupied ways.  Tie-break (first
+            # eligible among never-touched ways) matches LRUPolicy.victim.
+            ticks = self.ticks
+            target = -1
+            best = -1
             best_tick = -1
             for w in ways:
-                if cache_set[w] is None:
-                    target_way = w
+                s = base + w
+                if words[s] < 0:
+                    target = s
                     break
-                t = row[w]
+                t = ticks[s]  # type: ignore[index]
                 if best_tick < 0 or t < best_tick:
-                    best_way = w
+                    best = s
                     best_tick = t
-            if target_way < 0:
-                target_way = best_way
-                victim = cache_set[target_way]
-                del where[victim.addr]
-            policy = self.policy
-            tick = policy._tick + 1
-            policy._tick = tick
-            cache_set[target_way] = line
-            where[addr] = (set_idx, target_way)
-            row[target_way] = tick
+            if target < 0:
+                target = best
+                victim = words[target]
+                del where[victim & _LINE_MASK]
+            tick = lru.tick + 1
+            lru.tick = tick
+            words[target] = word
+            where[addr] = target
+            ticks[target] = tick  # type: ignore[index]
             return victim
 
-        target_way = -1
+        target = -1
         for w in ways:
-            if cache_set[w] is None:
-                target_way = w
+            if words[base + w] < 0:
+                target = base + w
                 break
-        if target_way < 0:
-            target_way = self.policy.victim(set_idx, ways)
-            victim = cache_set[target_way]
-            del where[victim.addr]
-            self.policy.on_evict(set_idx, target_way)
-
-        cache_set[target_way] = line
-        where[addr] = (set_idx, target_way)
-        self.policy.on_access(set_idx, target_way)
+        policy = self.policy
+        if target < 0:
+            way = policy.victim(set_idx, ways)
+            target = base + way
+            victim = words[target]
+            del where[victim & _LINE_MASK]
+            policy.on_evict(set_idx, way)
+        words[target] = word
+        where[addr] = target
+        policy.on_access(set_idx, target - base)
         return victim
 
-    def remove(self, addr: int) -> Optional[CacheLine]:
-        """Remove and return the line at ``addr`` (no writeback implied)."""
-        addr = line_address(addr)
-        loc = self._where.pop(addr, None)
-        if loc is None:
-            return None
-        set_idx, way = loc
-        line = self._sets[set_idx][way]
-        self._sets[set_idx][way] = None
-        self.policy.on_evict(set_idx, way)
-        return line
+    def remove(self, addr: int) -> int:
+        """Remove the line at ``addr``; return its word or ``-1`` (no
+        writeback implied)."""
+        slot = self.where.pop(addr & _LINE_MASK, None)
+        if slot is None:
+            return NO_LINE
+        words = self.words
+        word = words[slot]
+        words[slot] = NO_LINE
+        if self._lru is not None:
+            self.ticks[slot] = 0  # type: ignore[index]
+        else:
+            self.policy.on_evict(*divmod(slot, self.assoc))
+        return word
 
     def clear(self) -> None:
-        for set_idx in range(self.num_sets):
-            self._sets[set_idx] = [None] * self.assoc
-        self._where.clear()
+        for addr in list(self.where):
+            self.remove(addr)

@@ -36,8 +36,8 @@ from ..obs.events import LlcWritebackEvent, MlcWritebackEvent, TenantDmaEvent
 from ..sim import units
 from .cache import CacheConfig
 from .dram import DRAM
-from .line import _LINE_MASK, CacheLine, line_address
-from .llc import NonInclusiveLLC
+from .line import DIRTY, IO, _LINE_MASK, line_address
+from .llc import NonInclusiveLLC, mask_cores
 from .mlc import PrivateCache
 from .stats import HierarchyStatsSubscriber, StatsBundle
 from .transaction import (
@@ -157,10 +157,6 @@ class MemoryHierarchy:
         # StatsBundle.bump, whose semantics each inline site preserves).
         self._counter_values = self.stats._counter_values
         self._event_streams = self.stats._event_streams
-        # Freelist of dead CacheLine objects.  Lines churn at a few per
-        # access (fills allocate, evictions/drops free); recycling at the
-        # provably-dead sites flattens the allocation profile.
-        self._line_pool: List[CacheLine] = []
         # Hot-path caches of the live subscriber lists: publishing is a
         # truthiness check plus a loop, and the event object is only
         # constructed when somebody listens.
@@ -210,7 +206,7 @@ class MemoryHierarchy:
         # Direct references into the cache containers for the demand and
         # DMA paths: each access otherwise pays two or three delegation
         # hops (PrivateCache -> SetAssociativeCache, NonInclusiveLLC ->
-        # data array, SnoopFilterDirectory -> entry dict).  Nothing in
+        # data array, SnoopFilterDirectory -> mask dict).  Nothing in
         # the package replaces these objects after construction, so one
         # attribute load per access replaces a method call per hop.
         self._l1_data = [c.data if c is not None else None for c in self.l1]
@@ -224,7 +220,8 @@ class MemoryHierarchy:
         # Monolithic LLC: access latency is a constant; only the NUCA
         # model (slices > 0) needs the per-(core, addr) hop computation.
         self._flat_llc = self.llc.slices <= 0
-        self._dir_entries = self.llc.directory._entries
+        self._directory = self.llc.directory
+        self._dir_masks = self.llc.directory.masks
         # Per-core counter names, pre-formatted once (these are bumped on
         # every invalidation; f-strings there are measurable).
         self._mlc_inval_names = [
@@ -342,98 +339,90 @@ class MemoryHierarchy:
     # internal helpers
     # ------------------------------------------------------------------
 
-    def _make_line(self, addr: int, dirty: bool, origin: str, owner: int) -> CacheLine:
-        """A CacheLine from the freelist (or fresh when the pool is dry)."""
-        pool = self._line_pool
-        if pool:
-            line = pool.pop()
-            line.addr = addr
-            line.dirty = dirty
-            line.origin = origin
-            line.owner = owner
-            return line
-        return CacheLine(addr, dirty, origin, owner)
-
-    def _retire_line(self, line: CacheLine) -> None:
-        """Recycle a line no cache, directory, or caller references."""
-        pool = self._line_pool
-        if len(pool) < 256:
-            pool.append(line)
-
-    def _drop_private(self, core: int, addr: int) -> Optional[CacheLine]:
-        """Remove ``addr`` from core's L1+MLC; returns the line (dirtiest view)."""
-        merged: Optional[CacheLine] = None
+    def _drop_private(self, core: int, addr: int) -> int:
+        """Remove ``addr`` from core's L1+MLC; returns the word (dirtiest
+        view, the MLC copy's origin) or ``-1``."""
+        merged = -1
         l1_data = self._l1_data[core]
-        if l1_data is not None:
-            l1_line = l1_data.remove(addr)
-            if l1_line is not None:
-                merged = l1_line
-        mlc_line = self._mlc_data[core].remove(addr)
-        if mlc_line is not None:
-            if merged is not None:
-                mlc_line.dirty = mlc_line.dirty or merged.dirty
-                self._retire_line(merged)  # superseded by the MLC copy
-            merged = mlc_line
+        if l1_data is not None and addr in l1_data.where:
+            merged = l1_data.remove(addr)
+        mlc_data = self._mlc_data[core]
+        if addr in mlc_data.where:
+            word = mlc_data.remove(addr)
+            if merged >= 0:
+                word |= merged & DIRTY
+            merged = word
         return merged
 
-    def _llc_victim_to_dram(self, victim: CacheLine, now: int) -> None:
+    def _llc_victim_to_dram(self, victim: int, now: int) -> None:
         """Handle a line evicted from the LLC data array."""
+        addr = victim & _LINE_MASK
         if self.llc.inclusive:
             # Inclusive LLC: eviction back-invalidates private copies.
-            for core in sorted(self.llc.directory.owners(victim.addr)):
-                private = self._drop_private(core, victim.addr)
+            for core in mask_cores(self._dir_masks.get(addr, 0)):
+                private = self._drop_private(core, addr)
                 self._counter_values["back_invalidations"] += 1
-                if private is not None:
-                    if private.dirty:
-                        victim.dirty = True
-                    self._retire_line(private)
-            self.llc.directory.remove(victim.addr)
-        if victim.dirty:
-            hops = self._active_hops
+                if private >= 0:
+                    victim |= private & DIRTY
+            self._directory.remove(addr)
+        hops = self._active_hops
+        if victim & DIRTY:
             if hops is not None:
                 hops.append(Hop("llc", "evict", 0))
                 hops.append(Hop("dram", "writeback", 0))
-            self.dram.write(victim.addr, now)
-            self._notify_llc_wb(victim.addr, now)
+            self.dram.write(addr, now)
+            self._notify_llc_wb(addr, now)
         else:
-            hops = self._active_hops
             if hops is not None:
                 hops.append(Hop("llc", "drop", 0))
             self._counter_values["llc_clean_drops"] += 1
-        self._retire_line(victim)
 
-    def _fill_mlc(self, core: int, line: CacheLine, now: int) -> None:
-        """Fill ``line`` into core's MLC, handling the non-inclusive victim path."""
+    def _fill_mlc(self, core: int, word: int, now: int) -> None:
+        """Fill ``word`` into core's MLC (handling the non-inclusive victim
+        path), then track the line in the snoop-filter directory."""
         hops = self._active_hops
         if hops is not None:
             hops.append(Hop("mlc", "fill", 0))
-        # Inlined PrivateCache.fill: set the owner, insert, count the
-        # eviction (the wrapper adds nothing else on this path).
-        line.owner = core
-        mlc = self.mlc[core]
-        victim = mlc.data.insert(line)
-        if victim is None:
+        victim = self._mlc_data[core].insert(word)
+        if victim >= 0:
+            self._mlc_victim(core, victim, now)
+        addr = word & _LINE_MASK
+        if self._directory.capacity is None:
+            masks = self._dir_masks
+            masks[addr] = masks.get(addr, 0) | (1 << core)
             return
-        self._counter_values[mlc._evict_counter] += 1
+        # A bounded directory may evict entries to make room: their MLC
+        # copies are forced out (non-inclusive), dirty ones written back.
+        for old_addr, owners in self._directory.add(addr, core):
+            for owner in mask_cores(owners):
+                old = self._drop_private(owner, old_addr)
+                self._counter_values["directory_back_invalidations"] += 1
+                if old >= 0 and old & DIRTY:
+                    if hops is not None:
+                        hops.append(Hop("llc", "writeback", 0))
+                    self._notify_mlc_wb(owner, now)
+                    self._fill_llc_cpu(old, owner, now)
+
+    def _mlc_victim(self, core: int, victim: int, now: int) -> None:
+        """Handle a line evicted from core's MLC."""
+        cv = self._counter_values
+        cv[self.mlc[core]._evict_counter] += 1
+        addr = victim & _LINE_MASK
         # Keep L1 included in MLC: back-invalidate the victim's L1 copy.
         l1_data = self._l1_data[core]
-        if l1_data is not None:
-            l1_copy = l1_data.remove(victim.addr)
-            if l1_copy is not None:
-                if l1_copy.dirty:
-                    victim.dirty = True
-                self._retire_line(l1_copy)
-        self.llc.directory.remove(victim.addr, core)
+        if l1_data is not None and addr in l1_data.where:
+            victim |= l1_data.remove(addr) & DIRTY
+        self._directory.remove(addr, core)
         if self.llc.inclusive:
             # The LLC already holds a copy; just propagate dirtiness.
-            resident = self.llc.peek(victim.addr)
-            if resident is not None:
-                if victim.dirty:
-                    resident.dirty = True
+            llc_data = self._llc_data
+            slot = llc_data.where.get(addr)
+            if slot is not None:
+                if victim & DIRTY:
+                    llc_data.words[slot] |= DIRTY
                     self._notify_mlc_wb(core, now)
                 else:
-                    self._counter_values["mlc_clean_drops"] += 1
-                self._retire_line(victim)
+                    cv["mlc_clean_drops"] += 1
                 return
             # Fall through (copy may have been evicted already).
         # Non-inclusive victim-cache fill: the LLC is populated by MLC
@@ -441,67 +430,55 @@ class MemoryHierarchy:
         # including non-DDIO ways -> DMA bloating (§III Obs. 3).  This
         # MLC->LLC transaction is what the paper's "MLC writeback" counters
         # measure.
+        hops = self._active_hops
         if hops is not None:
             hops.append(Hop("mlc", "evict", 0))
             hops.append(Hop("llc", "writeback", 0))
         self._notify_mlc_wb(core, now)
-        if victim.dirty:
-            self._counter_values["mlc_writebacks_dirty"] += 1
+        if victim & DIRTY:
+            cv["mlc_writebacks_dirty"] += 1
         else:
-            self._counter_values["mlc_writebacks_clean"] += 1
-        llc_victim = self.llc.fill_cpu(victim, now, core=core)
-        if llc_victim is not None:
-            self._llc_victim_to_dram(llc_victim, now)
+            cv["mlc_writebacks_clean"] += 1
+        self._fill_llc_cpu(victim, core, now)
 
-    def _fill_l1(self, core: int, addr: int, dirty: bool, now: int) -> None:
+    def _fill_llc_cpu(self, word: int, core: int, now: int) -> None:
+        """A CPU-side LLC fill of ``word``; its victim goes to DRAM."""
+        victim = self.llc.fill_cpu(word, now, core)
+        if victim >= 0:
+            self._llc_victim_to_dram(victim, now)
+
+    def _fill_l1(self, core: int, addr: int, now: int) -> None:
+        """Fill a clean CPU copy of ``addr`` into core's L1 (when present)."""
         l1_data = self._l1_data[core]
         if l1_data is None:
             return
-        # Inlined PrivateCache.fill (owner is set by _make_line).
-        victim = l1_data.insert(self._make_line(addr, dirty, "cpu", core))
-        if victim is None:
+        victim = l1_data.insert(addr)
+        if victim < 0:
             return
         self._counter_values[self.l1[core]._evict_counter] += 1
-        if victim.dirty:
+        if victim & DIRTY:
             # Dirty L1 victim merges into the MLC copy (L1 ⊆ MLC by design).
-            mlc_line = self._mlc_data[core].peek(victim.addr)
-            if mlc_line is not None:
-                mlc_line.dirty = True
-                self._retire_line(victim)
+            mlc_data = self._mlc_data[core]
+            slot = mlc_data.where.get(victim & _LINE_MASK)
+            if slot is not None:
+                mlc_data.words[slot] |= DIRTY
             else:
                 # MLC copy already gone; push straight to LLC.
                 hops = self._active_hops
                 if hops is not None:
                     hops.append(Hop("llc", "writeback", 0))
                 self._notify_mlc_wb(core, now)
-                llc_victim = self.llc.fill_cpu(victim, now, core=core)
-                if llc_victim is not None:
-                    self._llc_victim_to_dram(llc_victim, now)
-        else:
-            # Clean L1 victim: silently dropped (MLC still holds it).
-            self._retire_line(victim)
-
-    def _directory_back_invalidate(self, entry, now: int) -> None:
-        """A directory eviction forces the MLC copies out (non-inclusive)."""
-        for core in sorted(entry.owners):
-            line = self._drop_private(core, entry.addr)
-            self._counter_values["directory_back_invalidations"] += 1
-            if line is None:
-                continue
-            if line.dirty:
-                hops = self._active_hops
-                if hops is not None:
-                    hops.append(Hop("llc", "writeback", 0))
-                self._notify_mlc_wb(core, now)
-                llc_victim = self.llc.fill_cpu(line, now, core=core)
-                if llc_victim is not None:
-                    self._llc_victim_to_dram(llc_victim, now)
-            else:
-                self._retire_line(line)
+                self._fill_llc_cpu(victim, core, now)
+        # A clean L1 victim is silently dropped (MLC still holds it).
 
     # ------------------------------------------------------------------
     # demand path (Fig. 2)
     # ------------------------------------------------------------------
+
+    # The handlers probe a level's ``where`` index directly and call
+    # ``touch`` only on a hit: most probes miss, and a miss then costs a
+    # dict lookup, not a method call.  ``txn.addr`` is line-aligned (the
+    # transaction masks it).
 
     def _run_cpu(self, txn: MemoryTransaction) -> None:
         """A demand load/store from ``txn.core``."""
@@ -512,16 +489,18 @@ class MemoryHierarchy:
         hops = self._active_hops
         cv = self._counter_values
         latency = 0
+        mlc_data = self._mlc_data[core]
         l1_data = self._l1_data[core]
         if l1_data is not None:
             latency += self._l1_lat[core]
-            hit = l1_data.lookup(addr)
-            if hit is not None:
+            slot = l1_data.where.get(addr)
+            if slot is not None:
+                l1_data.touch(slot)
                 if is_write:
-                    hit.dirty = True
-                    mlc_copy = self._mlc_data[core].peek(addr)
-                    if mlc_copy is not None:
-                        mlc_copy.dirty = True
+                    l1_data.words[slot] |= DIRTY
+                    mlc_slot = mlc_data.where.get(addr)
+                    if mlc_slot is not None:
+                        mlc_data.words[mlc_slot] |= DIRTY
                 cv["l1_hits"] += 1
                 if hops is not None:
                     hops.append(Hop("l1", "hit", latency))
@@ -533,13 +512,14 @@ class MemoryHierarchy:
 
         mlc_lat = self._mlc_lat[core]
         latency += mlc_lat
-        hit = self._mlc_data[core].lookup(addr)
-        if hit is not None:
+        slot = mlc_data.where.get(addr)
+        if slot is not None:
+            mlc_data.touch(slot)
             if is_write:
-                hit.dirty = True
+                mlc_data.words[slot] |= DIRTY
             if hops is not None:
                 hops.append(Hop("mlc", "hit", mlc_lat))
-            self._fill_l1(core, addr, False, now)
+            self._fill_l1(core, addr, now)
             cv["mlc_hits"] += 1
             txn.latency = latency
             txn.level = "mlc"
@@ -550,33 +530,24 @@ class MemoryHierarchy:
         # Another core's private caches may own the line: the directory
         # filters the snoop and the data migrates cache-to-cache (our
         # workloads never share lines, but the model must stay coherent
-        # for ones that do).  The entry is read in place (no set copy);
-        # the sorted() below materializes the iteration order before the
-        # removes mutate the owner set.
-        dir_entry = self._dir_entries.get(addr & _LINE_MASK)
-        if dir_entry is not None:
-            remote_owners = [o for o in sorted(dir_entry.owners) if o != core]
-        else:
-            remote_owners = ()
-        if remote_owners:
-            migrated: Optional[CacheLine] = None
-            for owner in remote_owners:
-                line = self._drop_private(owner, addr)
-                self.llc.directory.remove(addr, owner)
-                if line is not None and (migrated is None or line.dirty):
-                    migrated = line
-            if migrated is not None:
+        # for ones that do).
+        remote = self._dir_masks.get(addr, 0) & ~(1 << core)
+        if remote:
+            migrated = -1
+            for owner in mask_cores(remote):
+                word = self._drop_private(owner, addr)
+                self._directory.remove(addr, owner)
+                if word >= 0 and (migrated < 0 or word & DIRTY):
+                    migrated = word
+            if migrated >= 0:
                 cv["c2c_transfers"] += 1
                 latency += self._llc_lat  # snoop round trip
                 if hops is not None:
                     hops.append(Hop("directory", "c2c", self._llc_lat))
-                migrated.owner = core
                 if is_write:
-                    migrated.dirty = True
+                    migrated |= DIRTY
                 self._fill_mlc(core, migrated, now)
-                for evicted_entry in self.llc.directory.add(addr, core):
-                    self._directory_back_invalidate(evicted_entry, now)
-                self._fill_l1(core, addr, False, now)
+                self._fill_l1(core, addr, now)
                 txn.latency = latency
                 txn.level = "c2c"
                 return
@@ -585,21 +556,22 @@ class MemoryHierarchy:
             self._llc_lat if self._flat_llc else self.llc.access_latency(core, addr)
         )
         latency += llc_latency
-        llc_line = self._llc_data.lookup(addr)
-        if llc_line is not None:
+        llc_data = self._llc_data
+        slot = llc_data.where.get(addr)
+        if slot is not None:
+            llc_data.touch(slot)
             level = "llc"
             cv["llc_hits"] += 1
             if hops is not None:
                 hops.append(Hop("llc", "hit", llc_latency))
             if self.llc.inclusive:
-                new_line = self._make_line(addr, False, llc_line.origin, core)
+                # A clean private copy keeping the LLC line's origin.
+                word = addr | (llc_data.words[slot] & IO)
             else:
                 # Non-inclusive: data moves up, tag moves to the directory
-                # (steps A-2.1/B-2.1 of Fig. 2).  The removed LLC line
-                # object itself migrates — no copy is allocated.
-                self._llc_data.remove(addr)
-                new_line = llc_line
-                new_line.owner = core
+                # (steps A-2.1/B-2.1 of Fig. 2).  The LLC's word (dirty
+                # and origin bits included) migrates as-is.
+                word = llc_data.remove(addr)
         else:
             level = "dram"
             dram_latency = self.dram.read(addr, now)
@@ -608,20 +580,14 @@ class MemoryHierarchy:
                 hops.append(Hop("llc", "miss", llc_latency))
                 hops.append(Hop("dram", "read", dram_latency))
             cv["llc_misses"] += 1
-            new_line = self._make_line(addr, False, "cpu", core)
+            word = addr
             if self.llc.inclusive:
-                llc_victim = self.llc.fill_cpu(
-                    self._make_line(addr, False, "cpu", core), now, core=core
-                )
-                if llc_victim is not None:
-                    self._llc_victim_to_dram(llc_victim, now)
+                self._fill_llc_cpu(addr, core, now)
 
         if is_write:
-            new_line.dirty = True
-        self._fill_mlc(core, new_line, now)
-        for evicted_entry in self.llc.directory.add(addr, core):
-            self._directory_back_invalidate(evicted_entry, now)
-        self._fill_l1(core, addr, False, now)
+            word |= DIRTY
+        self._fill_mlc(core, word, now)
+        self._fill_l1(core, addr, now)
         txn.latency = latency
         txn.level = level
 
@@ -660,29 +626,26 @@ class MemoryHierarchy:
                     break
 
         # Invalidate any private (MLC/L1) copies — steps P1-1/P2-1 of Fig. 1.
-        dir_entry = self._dir_entries.get(addr & _LINE_MASK)
-        if dir_entry is not None:
+        owners = self._dir_masks.pop(addr, 0)
+        if owners:
             inval_stream = self._event_streams["mlc_invalidations"]
-            for core in sorted(dir_entry.owners):
-                dropped = self._drop_private(core, addr)
-                if dropped is not None:
-                    self._retire_line(dropped)
+            for core in mask_cores(owners):
+                self._drop_private(core, addr)
                 if hops is not None:
                     hops.append(Hop("mlc", "inval", 0))
                 cv["mlc_invalidations"] += 1
                 inval_stream.append(now)
                 cv[self._mlc_inval_names[core]] += 1
-            self.llc.directory.remove(addr)
 
+        llc_data = self._llc_data
         if placement == "dram":
             # Selective direct DRAM access: drop any (stale) LLC copy and
             # write the line straight to memory.
-            stale = self._llc_data.remove(addr)
-            if stale is not None:
+            if addr in llc_data.where:
+                llc_data.remove(addr)
                 if hops is not None:
                     hops.append(Hop("llc", "drop", 0))
                 cv["llc_drop_on_direct_dram"] += 1
-                self._retire_line(stale)
             latency = self.dram.write(addr, now)
             if hops is not None:
                 hops.append(Hop("dram", "write", latency))
@@ -694,12 +657,12 @@ class MemoryHierarchy:
         if placement != "llc":
             raise ValueError(f"unknown placement {placement!r}")
 
-        resident = self._llc_data.lookup(addr)
-        if resident is not None:
+        slot = llc_data.where.get(addr)
+        if slot is not None:
             # In-place update (P2-2 / P3-1): the line stays in whatever way
             # it occupies and becomes dirty I/O data.
-            resident.dirty = True
-            resident.origin = "io"
+            llc_data.touch(slot)
+            llc_data.words[slot] |= DIRTY | IO
             if hops is not None:
                 hops.append(Hop("llc", "update", latency))
             cv["ddio_updates"] += 1
@@ -707,11 +670,9 @@ class MemoryHierarchy:
             # Write-allocate into the DDIO ways (P1-2 / P5-1).
             if hops is not None:
                 hops.append(Hop("llc", "fill", latency))
-            victim = self.llc.fill_io(
-                self._make_line(addr, True, "io", -1), now, tenant
-            )
+            victim = self.llc.fill_io(addr | DIRTY, now, tenant)
             cv["ddio_allocations"] += 1
-            if victim is not None:
+            if victim >= 0:
                 self._llc_victim_to_dram(victim, now)
         txn.latency = latency
         txn.level = "llc"
@@ -728,28 +689,25 @@ class MemoryHierarchy:
         self._counter_values["pcie_reads"] += 1
         latency = self._llc_lat
 
-        dir_entry = self._dir_entries.get(addr & _LINE_MASK)
-        if dir_entry is not None:
-            for core in sorted(dir_entry.owners):
-                # MLC copies are invalidated and written back to LLC (Fig. 3
-                # right): the egress read must observe the latest data.
-                line = self._drop_private(core, addr)
-                if line is None:
-                    continue
+        for core in mask_cores(self._dir_masks.pop(addr, 0)):
+            # MLC copies are invalidated and written back to LLC (Fig. 3
+            # right): the egress read must observe the latest data.
+            word = self._drop_private(core, addr)
+            if word < 0:
+                continue
+            if hops is not None:
+                hops.append(Hop("mlc", "evict", 0))
+            if word & DIRTY:
                 if hops is not None:
-                    hops.append(Hop("mlc", "evict", 0))
-                if line.dirty:
-                    if hops is not None:
-                        hops.append(Hop("llc", "writeback", 0))
-                    self._notify_mlc_wb(core, now)
-                line.owner = -1
-                llc_victim = self.llc.fill_cpu(line, now, core=core)
-                if llc_victim is not None:
-                    self._llc_victim_to_dram(llc_victim, now)
-            self.llc.directory.remove(addr)
+                    hops.append(Hop("llc", "writeback", 0))
+                self._notify_mlc_wb(core, now)
+            self._fill_llc_cpu(word, core, now)
 
-        # One recency-touching lookup doubles as the presence check.
-        if self._llc_data.lookup(addr) is not None:
+        # One recency-touching probe doubles as the presence check.
+        llc_data = self._llc_data
+        slot = llc_data.where.get(addr)
+        if slot is not None:
+            llc_data.touch(slot)
             if hops is not None:
                 hops.append(Hop("llc", "hit", latency))
             txn.latency = latency
@@ -777,36 +735,33 @@ class MemoryHierarchy:
         core = txn.core
         addr = txn.addr
         now = txn.now
-        laddr = addr & _LINE_MASK
-        if laddr in self._mlc_data[core]._where:
+        if addr in self._mlc_data[core].where:
             txn.level = "dropped"
             return
         l1_data = self._l1_data[core]
-        if l1_data is not None and laddr in l1_data._where:
+        if l1_data is not None and addr in l1_data.where:
             txn.level = "dropped"
             return
         hops = self._active_hops
-        llc_line = self._llc_data.lookup(addr)
-        if llc_line is not None:
+        llc_data = self._llc_data
+        slot = llc_data.where.get(addr)
+        if slot is not None:
+            llc_data.touch(slot)
             txn.level = "llc"
             if hops is not None:
                 hops.append(Hop("llc", "hit", self._llc_lat))
             if self.llc.inclusive:
-                new_line = self._make_line(addr, False, llc_line.origin, core)
+                word = addr | (llc_data.words[slot] & IO)
             else:
-                # The removed LLC line migrates up as-is (no copy).
-                self._llc_data.remove(addr)
-                new_line = llc_line
-                new_line.owner = core
+                # The LLC's word migrates up as-is.
+                word = llc_data.remove(addr)
         else:
             txn.level = "dram"
             dram_latency = self.dram.read(addr, now)
             if hops is not None:
                 hops.append(Hop("dram", "read", dram_latency))
-            new_line = self._make_line(addr, False, "cpu", core)
-        self._fill_mlc(core, new_line, now)
-        for evicted_entry in self.llc.directory.add(addr, core):
-            self._directory_back_invalidate(evicted_entry, now)
+            word = addr
+        self._fill_mlc(core, word, now)
         self._counter_values["mlc_prefetch_fills"] += 1
         self._event_streams["mlc_prefetch_fills"].append(now)
 
@@ -824,25 +779,24 @@ class MemoryHierarchy:
         now = txn.now
         scope = txn.scope
         hops = self._active_hops
-        dropped = self._drop_private(core, addr)
-        if dropped is not None:
+        dropped = self._drop_private(core, addr) >= 0
+        if dropped:
             if hops is not None:
                 hops.append(Hop("mlc", "drop", 0))
-            self.llc.directory.remove(addr, core)
+            self._directory.remove(addr, core)
             self._counter_values["self_invalidations"] += 1
             self._event_streams["self_invalidations"].append(now)
-            self._retire_line(dropped)
         if scope == "all":
-            removed = self._llc_data.remove(addr)
-            if removed is not None:
+            llc_data = self._llc_data
+            if addr in llc_data.where:
+                llc_data.remove(addr)
                 if hops is not None:
                     hops.append(Hop("llc", "drop", 0))
                 self._counter_values["self_invalidations_llc"] += 1
                 self._event_streams["self_invalidations_llc"].append(now)
-                self._retire_line(removed)
         elif scope != "private":
             raise ValueError(f"unknown invalidate scope {scope!r}")
-        txn.level = "invalidated" if dropped is not None else "absent"
+        txn.level = "invalidated" if dropped else "absent"
 
     # ------------------------------------------------------------------
     # introspection

@@ -1,13 +1,12 @@
-"""Cacheline primitives and address helpers.
+"""Cacheline primitives: address helpers and line words.
 
 All caches operate on 64-byte lines.  Addresses are plain integers in an
 abstract physical address space; helpers convert between byte addresses and
-line addresses.
+line addresses.  A resident line's state is one int, its line word (see
+``DIRTY``/``IO`` below), so the caches hold no per-line objects.
 """
 
 from __future__ import annotations
-
-from typing import Iterator
 
 #: Cacheline size in bytes (fixed, matching the evaluated platforms).
 LINE_SIZE = 64
@@ -25,17 +24,17 @@ def line_index(byte_address: int) -> int:
     return byte_address >> _LINE_SHIFT
 
 
-def lines_spanning(byte_address: int, num_bytes: int) -> Iterator[int]:
-    """Yield the line-aligned addresses covering ``[addr, addr+num_bytes)``.
+def lines_spanning(byte_address: int, num_bytes: int) -> range:
+    """The line-aligned addresses covering ``[addr, addr+num_bytes)``.
 
     A 1514-byte Ethernet frame starting on a line boundary spans 24 lines.
+    A ``range``, so iterating it costs no Python-level call per line.
     """
     if num_bytes <= 0:
-        return
+        return range(0)
     first = line_address(byte_address)
     last = line_address(byte_address + num_bytes - 1)
-    for addr in range(first, last + 1, LINE_SIZE):
-        yield addr
+    return range(first, last + 1, LINE_SIZE)
 
 
 def num_lines(num_bytes: int) -> int:
@@ -43,32 +42,21 @@ def num_lines(num_bytes: int) -> int:
     return -(-num_bytes // LINE_SIZE)
 
 
-class CacheLine:
-    """State for one resident cacheline.
+#: Line-word flag bits.  A resident line is one int, its *line word*:
+#: the line-aligned address with ``DIRTY`` and ``IO`` or-ed into the low
+#: bits, which line alignment leaves free.  ``IO`` marks a line whose
+#: data came from inbound DMA (a DDIO write-allocate or in-place update)
+#: rather than from DRAM; it survives migrations between levels and only
+#: feeds occupancy accounting (the DMA-bloat statistics), never
+#: replacement.
+DIRTY = 1
+IO = 2
+#: The "no line" sentinel returned by cache queries (every word is >= 0).
+NO_LINE = -1
 
-    ``origin`` records who brought the line in — ``"io"`` for DDIO
-    write-allocates, ``"cpu"`` for demand fills and victim fills.  The paper
-    notes that after an MLC writeback a line is "no longer classified as I/O
-    data"; we keep the origin tag purely for occupancy accounting (the DMA
-    bloating statistics) — it never affects replacement decisions.
-    """
 
-    __slots__ = ("addr", "dirty", "origin", "owner")
-
-    def __init__(
-        self,
-        addr: int,
-        dirty: bool = False,
-        origin: str = "cpu",
-        owner: int = -1,
-    ) -> None:
-        if addr != line_address(addr):
-            raise ValueError(f"address {addr:#x} is not line-aligned")
-        self.addr = addr
-        self.dirty = dirty
-        self.origin = origin
-        self.owner = owner
-
-    def __repr__(self) -> str:
-        d = "D" if self.dirty else "C"
-        return f"<Line {self.addr:#x} {d} {self.origin} core={self.owner}>"
+def line_word(addr: int, dirty: bool = False, io: bool = False) -> int:
+    """The line word of a line at ``addr`` with the given state bits."""
+    if addr != line_address(addr):
+        raise ValueError(f"address {addr:#x} is not line-aligned")
+    return addr | (DIRTY if dirty else 0) | (IO if io else 0)

@@ -18,98 +18,94 @@ MLC-resident line and MLC evictions of clean lines need no LLC fill.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cache import CacheConfig, SetAssociativeCache
-from .line import _LINE_MASK, CacheLine, line_address
+from .line import IO, _LINE_MASK, line_address
 from .stats import StatsBundle
 
 
-class DirectoryEntry:
-    """Directory state for one MLC-resident line."""
-
-    __slots__ = ("addr", "owners")
-
-    def __init__(self, addr: int, owners: Optional[set] = None) -> None:
-        self.addr = addr
-        self.owners = owners if owners is not None else set()
+def mask_cores(mask: int) -> List[int]:
+    """The cores of an owner bitmask, in ascending order."""
+    cores = []
+    core = 0
+    while mask:
+        if mask & 1:
+            cores.append(core)
+        mask >>= 1
+        core += 1
+    return cores
 
 
 #: Shared empty result for the no-eviction (common) case of
 #: :meth:`SnoopFilterDirectory.add` — callers only iterate the result, so
 #: one list serves every call without a per-call allocation.
-_NO_EVICTIONS: List[DirectoryEntry] = []
+_NO_EVICTIONS: List[Tuple[int, int]] = []
 
 
 class SnoopFilterDirectory:
-    """Tag directory of MLC-resident lines with LRU-bounded capacity.
+    """Tag directory of MLC-resident lines: ``addr -> owner bitmask``.
 
-    ``capacity`` of ``None`` means unbounded (the default used by the
-    reproduction configs, where the directory is provisioned to cover all
-    MLCs as on real parts).
+    Bit ``c`` of a line's mask is set while the line is resident in core
+    ``c``'s MLC.  ``capacity`` of ``None`` means unbounded (the default
+    used by the reproduction configs, where the directory is provisioned
+    to cover all MLCs as on real parts); a bounded directory keeps its
+    entries in LRU order (an ``OrderedDict``) and evicts the oldest.
     """
 
     def __init__(self, capacity: Optional[int] = None) -> None:
         self.capacity = capacity
-        self._entries: "OrderedDict[int, DirectoryEntry]" = OrderedDict()
+        self.masks: Dict[int, int] = {} if capacity is None else OrderedDict()
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self.masks)
 
     def __contains__(self, addr: int) -> bool:
-        return line_address(addr) in self._entries
+        return line_address(addr) in self.masks
 
     def owners(self, addr: int) -> set:
-        entry = self._entries.get(line_address(addr))
-        return set(entry.owners) if entry else set()
+        """The cores whose MLC holds ``addr`` (a fresh set)."""
+        return set(mask_cores(self.masks.get(line_address(addr), 0)))
 
-    def get(self, addr: int) -> Optional[DirectoryEntry]:
-        """The live entry for ``addr`` (no copy), or ``None``.
-
-        Hot-path alternative to :meth:`owners`: callers that only iterate
-        must not mutate the entry's owner set while doing so (take
-        ``sorted(entry.owners)`` first — it materializes a copy).
-        """
-        return self._entries.get(addr & _LINE_MASK)
-
-    def add(self, addr: int, core: int) -> List[DirectoryEntry]:
+    def add(self, addr: int, core: int) -> List[Tuple[int, int]]:
         """Track ``addr`` as resident in ``core``'s MLC.
 
-        Returns a list of entries evicted to make room (empty when the
-        directory has space); the caller must back-invalidate those lines
-        from their owner MLCs.
+        Returns the ``(addr, owner mask)`` entries evicted to make room
+        (empty when the directory has space); the caller must
+        back-invalidate those lines from their owner MLCs.
         """
         addr = addr & _LINE_MASK
-        entry = self._entries.get(addr)
-        if entry is not None:
-            entry.owners.add(core)
+        masks = self.masks
+        mask = masks.get(addr)
+        if mask is not None:
+            masks[addr] = mask | (1 << core)
             # Recency order only matters under a capacity bound; the
             # unbounded default never evicts, so skip the reorder.
             if self.capacity is not None:
-                self._entries.move_to_end(addr)
+                masks.move_to_end(addr)  # type: ignore[attr-defined]
             return _NO_EVICTIONS
         if self.capacity is None:
-            self._entries[addr] = DirectoryEntry(addr, {core})
+            masks[addr] = 1 << core
             return _NO_EVICTIONS
-        evicted: List[DirectoryEntry] = []
-        while len(self._entries) >= self.capacity:
-            _, old = self._entries.popitem(last=False)
-            evicted.append(old)
-        self._entries[addr] = DirectoryEntry(addr, {core})
+        evicted: List[Tuple[int, int]] = []
+        while len(masks) >= self.capacity:
+            evicted.append(masks.popitem(last=False))  # type: ignore[call-arg]
+        masks[addr] = 1 << core
         return evicted
 
     def remove(self, addr: int, core: Optional[int] = None) -> None:
         """Drop ``core``'s residency (or the whole entry when ``core=None``)."""
         addr = addr & _LINE_MASK
-        entry = self._entries.get(addr)
-        if entry is None:
+        masks = self.masks
+        mask = masks.get(addr)
+        if mask is None:
             return
-        if core is None:
-            del self._entries[addr]
-            return
-        entry.owners.discard(core)
-        if not entry.owners:
-            del self._entries[addr]
+        if core is not None:
+            mask &= ~(1 << core)
+            if mask:
+                masks[addr] = mask
+                return
+        del masks[addr]
 
 
 class NonInclusiveLLC:
@@ -151,22 +147,22 @@ class NonInclusiveLLC:
         self.hop_latency = hop_latency
         #: CacheDirector-style per-line home-slice overrides.
         self._slice_override: Dict[int, int] = {}
-        self._io_mask = list(range(ddio_ways))
-        self._all_mask = list(range(config.assoc))
+        self._io_mask = tuple(range(ddio_ways))
+        self._all_mask = tuple(range(config.assoc))
         # CPU fills may use any way, but prefer the non-DDIO ("Excl LLC")
         # ways: empty-slot scans follow this order, so CPU data only
         # spills into the DDIO ways when the rest of the set is full.
         # (DMA bloating still happens — a full set's LRU victim can be
         # anywhere — but CPU lines do not gratuitously park in the ways
         # the next DMA write-allocate will reclaim.)
-        self._cpu_fill_order = list(range(ddio_ways, config.assoc)) + list(
+        self._cpu_fill_order = tuple(range(ddio_ways, config.assoc)) + tuple(
             range(ddio_ways)
         )
         #: per-core CAT masks; default = all ways (set_way_mask overrides).
-        self._core_masks: Dict[int, List[int]] = {}
+        self._core_masks: Dict[int, Tuple[int, ...]] = {}
         #: per-tenant I/O way masks (IOCA-style partitioning); a tenant
         #: absent from this map falls back to the shared DDIO partition.
-        self._tenant_io_masks: Dict[int, List[int]] = {}
+        self._tenant_io_masks: Dict[int, Tuple[int, ...]] = {}
 
     # -- configuration -------------------------------------------------
 
@@ -184,8 +180,8 @@ class NonInclusiveLLC:
                 f"ddio_ways must be in 1..{self.config.assoc}, got {ddio_ways}"
             )
         self.ddio_ways = ddio_ways
-        self._io_mask = list(range(ddio_ways))
-        self._cpu_fill_order = list(range(ddio_ways, self.config.assoc)) + list(
+        self._io_mask = tuple(range(ddio_ways))
+        self._cpu_fill_order = tuple(range(ddio_ways, self.config.assoc)) + tuple(
             range(ddio_ways)
         )
 
@@ -200,7 +196,7 @@ class NonInclusiveLLC:
         for w in ways:
             if w < 0 or w >= self.config.assoc:
                 raise ValueError(f"way {w} outside the LLC's {self.config.assoc} ways")
-        self._core_masks[core] = list(ways)
+        self._core_masks[core] = tuple(ways)
 
     def core_way_mask(self, core: int) -> List[int]:
         return list(self._core_masks.get(core, self._all_mask))
@@ -224,7 +220,7 @@ class NonInclusiveLLC:
                 raise ValueError(
                     f"tenant way {w} outside the {self.ddio_ways}-way DDIO partition"
                 )
-        self._tenant_io_masks[tenant] = list(ways)
+        self._tenant_io_masks[tenant] = tuple(ways)
 
     def tenant_io_ways(self, tenant: int) -> List[int]:
         """The I/O way mask in force for ``tenant`` (shared mask if unset)."""
@@ -280,11 +276,9 @@ class NonInclusiveLLC:
     def __contains__(self, addr: int) -> bool:
         return addr in self.data
 
-    def peek(self, addr: int) -> Optional[CacheLine]:
+    def peek(self, addr: int) -> int:
+        """The resident line word (``-1`` if absent)."""
         return self.data.peek(addr)
-
-    def lookup(self, addr: int) -> Optional[CacheLine]:
-        return self.data.lookup(addr)
 
     def io_occupancy(self) -> int:
         """Number of resident lines whose origin is I/O (DMA-bloat metric)."""
@@ -292,41 +286,36 @@ class NonInclusiveLLC:
 
     # -- fills ----------------------------------------------------------
 
-    def fill_io(
-        self, line: CacheLine, now: int, tenant: int = -1
-    ) -> Optional[CacheLine]:
-        """DDIO write-allocate into the DDIO ways; returns the victim.
+    def fill_io(self, word: int, now: int, tenant: int = -1) -> int:
+        """DDIO write-allocate of ``word`` into the DDIO ways, marked I/O;
+        returns the victim's word or ``-1``.
 
         When ``tenant`` has a partition installed via
         :meth:`set_tenant_io_ways`, the fill is confined to that
         tenant's ways; otherwise it may use the whole DDIO partition.
         """
-        line.origin = "io"
         if tenant >= 0 and self._tenant_io_masks:
             mask = self._tenant_io_masks.get(tenant, self._io_mask)
         else:
             mask = self._io_mask
-        victim = self.data.insert(line, way_mask=mask)
-        if victim is not None:
+        victim = self.data.insert(word | IO, mask)
+        if victim >= 0:
             self._counter_values["llc_evictions"] += 1
         return victim
 
-    def fill_cpu(
-        self, line: CacheLine, now: int, core: Optional[int] = None
-    ) -> Optional[CacheLine]:
-        """CPU-side fill (MLC victim or inclusive fill); any allowed way.
+    def fill_cpu(self, word: int, now: int, core: Optional[int] = None) -> int:
+        """CPU-side fill (MLC victim or inclusive fill) of ``word`` into
+        any allowed way; returns the victim's word or ``-1``.
 
-        This is the path that produces *DMA bloating*: an MLC writeback of a
-        consumed DMA line lands in a non-DDIO way with origin ``cpu``.
+        This is the path that produces *DMA bloating*: an MLC writeback of
+        a consumed DMA line lands in a non-DDIO way, where it no longer
+        counts against the DDIO partition.
         """
         if core is None or core not in self._core_masks:
             mask = self._cpu_fill_order
         else:
-            mask = self.core_way_mask(core)
-        victim = self.data.insert(line, way_mask=mask)
-        if victim is not None:
+            mask = self._core_masks[core]
+        victim = self.data.insert(word, mask)
+        if victim >= 0:
             self._counter_values["llc_evictions"] += 1
         return victim
-
-    def remove(self, addr: int) -> Optional[CacheLine]:
-        return self.data.remove(addr)

@@ -8,10 +8,7 @@ silent drop ...).
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .cache import CacheConfig, SetAssociativeCache
-from .line import CacheLine
 from .stats import StatsBundle
 
 
@@ -23,11 +20,9 @@ class PrivateCache:
         self.core = core
         self.stats = stats
         self.data = SetAssociativeCache(config)
-        # The eviction counter name is fixed for the cache's lifetime and
-        # the bump is unlogged: pre-format the name once and hit the
-        # shared counter dict directly (one fill = at most one increment).
+        #: Eviction counter name, pre-formatted once: the hierarchy bumps
+        #: it on every fill that evicts a victim.
         self._evict_counter = f"{config.name}_evictions"
-        self._counter_values = stats._counter_values
 
     def __contains__(self, addr: int) -> bool:
         return addr in self.data
@@ -39,19 +34,9 @@ class PrivateCache:
     def capacity_lines(self) -> int:
         return self.config.num_sets * self.config.assoc
 
-    def peek(self, addr: int) -> Optional[CacheLine]:
+    def peek(self, addr: int) -> int:
+        """The resident line word (``-1`` if absent)."""
         return self.data.peek(addr)
 
-    def lookup(self, addr: int) -> Optional[CacheLine]:
-        return self.data.lookup(addr)
-
-    def fill(self, line: CacheLine, now: int) -> Optional[CacheLine]:
-        """Insert a line; returns the evicted victim, if any."""
-        line.owner = self.core
-        victim = self.data.insert(line)
-        if victim is not None:
-            self._counter_values[self._evict_counter] += 1
-        return victim
-
-    def remove(self, addr: int) -> Optional[CacheLine]:
+    def remove(self, addr: int) -> int:
         return self.data.remove(addr)

@@ -35,32 +35,35 @@ class ReplacementPolicy:
 class LRUPolicy(ReplacementPolicy):
     """True least-recently-used, via a global access counter per way.
 
-    Recency is a flat per-set list of access ticks (0 = never touched),
-    and the victim scan is a plain comparison loop.  This is the hot path
-    of every cache fill; see :class:`ReferenceLRUPolicy` for the original
-    ``min()``-over-a-dict formulation it must stay equivalent to (the
-    property test in ``tests/test_mem_replacement_property.py`` checks
-    the equivalence on random traces).
+    Recency is one flat list of access ticks indexed ``set * assoc + way``
+    (0 = never touched or emptied), and the victim scan is a plain
+    comparison loop.  :class:`~repro.mem.cache.SetAssociativeCache` reads
+    and writes ``ticks``/``tick`` directly on its fill path; see
+    :class:`ReferenceLRUPolicy` for the original ``min()``-over-a-dict
+    formulation it must stay equivalent to (the property test in
+    ``tests/test_mem_replacement_property.py`` checks the equivalence on
+    random traces).
     """
 
     def __init__(self, num_sets: int, assoc: int) -> None:
         super().__init__(num_sets, assoc)
-        self._tick = 0
-        self._last_use: List[List[int]] = [[0] * assoc for _ in range(num_sets)]
+        self.tick = 0
+        self.ticks: List[int] = [0] * (num_sets * assoc)
 
     def on_access(self, set_idx: int, way: int) -> None:
-        self._tick += 1
-        self._last_use[set_idx][way] = self._tick
+        self.tick += 1
+        self.ticks[set_idx * self.assoc + way] = self.tick
 
     def on_evict(self, set_idx: int, way: int) -> None:
-        self._last_use[set_idx][way] = 0
+        self.ticks[set_idx * self.assoc + way] = 0
 
     def victim(self, set_idx: int, eligible_ways: Sequence[int]) -> int:
-        row = self._last_use[set_idx]
+        ticks = self.ticks
+        base = set_idx * self.assoc
         best_way = -1
         best_tick = -1
         for w in eligible_ways:
-            t = row[w]
+            t = ticks[base + w]
             if best_tick < 0 or t < best_tick:
                 best_way = w
                 best_tick = t

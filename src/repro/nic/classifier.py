@@ -92,24 +92,21 @@ class IdioClassifier:
         self.bursts_detected += 1
         return True
 
-    def tag_for_line(
-        self,
-        packet: Packet,
-        dest_core: int,
-        line_offset: int,
-        burst_active: bool,
-    ) -> IdioTag:
-        """The IDIO tag for the ``line_offset``-th DMA line of ``packet``.
+    def tags_for_packet(
+        self, packet: Packet, dest_core: int, burst_active: bool
+    ) -> List[IdioTag]:
+        """The IDIO tag of each DMA line of ``packet``.
 
         The first transaction of a packet carries the protocol header
-        (headers of all common protocols fit in 64 bytes, §V-A).
+        (headers of all common protocols fit in 64 bytes, §V-A).  The
+        list holds two tag objects: the header line's and one shared by
+        every body line (tags are frozen), so the root complex skips
+        re-encoding a tag that is the same object as the previous line's.
         """
-        return IdioTag(
-            dest_core=dest_core if packet.app_class == 0 else 0,
-            app_class=packet.app_class,
-            is_header=(line_offset == 0),
-            is_burst=burst_active,
-        )
+        core = dest_core if packet.app_class == 0 else 0
+        header = IdioTag(core, packet.app_class, True, burst_active)
+        body = IdioTag(core, packet.app_class, False, burst_active)
+        return [header] + [body] * (packet.num_lines - 1)
 
     def stop(self) -> None:
         """Stop the periodic reset task (end of experiment)."""

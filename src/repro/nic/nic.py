@@ -165,10 +165,7 @@ class NIC:
 
         tags: Optional[List[IdioTag]] = None
         if self.classifier is not None:
-            tags = [
-                self.classifier.tag_for_line(packet, core, i, burst_active)
-                for i in range(packet.num_lines)
-            ]
+            tags = self.classifier.tags_for_packet(packet, core, burst_active)
 
         def start_dma() -> None:
             self.dma.write_buffer(
@@ -190,10 +187,7 @@ class NIC:
             # Descriptors are polled immediately: treat them as header-class
             # transactions so IDIO restores the polled line into the MLC.
             n_lines = -(-DESCRIPTOR_BYTES // 64)
-            tags = [
-                IdioTag(dest_core=queue.core, app_class=0, is_header=True)
-                for _ in range(n_lines)
-            ]
+            tags = [IdioTag(dest_core=queue.core, app_class=0, is_header=True)] * n_lines
 
         def do_writeback() -> None:
             self.dma.write_buffer(

@@ -10,6 +10,7 @@ TLP's decoded metadata and decides the placement.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Callable, Optional, Sequence
 
 from ..mem.hierarchy import MemoryHierarchy
@@ -89,9 +90,11 @@ class RootComplex:
 
         Semantically identical to calling :meth:`memory_write` once per
         line (each line's tag still round-trips through the Fig. 7 header
-        bit layout), but without constructing a TLP object per line — the
-        encode/decode pair is memoized on the handful of distinct tags a
-        run produces.  This is the RX data path's hottest entry point.
+        bit layout), but without constructing a TLP object per line.  A
+        tag is encoded and decoded only when it is a different object
+        from the previous line's (the NIC shares one tag object across a
+        packet's body lines; tags are frozen).  This is the RX data
+        path's hottest entry point.
         """
         faults = self.faults
         if faults is not None and faults.data_faults:
@@ -100,59 +103,30 @@ class RootComplex:
         now = self.sim.now
         hook = self.steering_hook
         hierarchy = self.hierarchy
-        if not (hierarchy.record_hops or hierarchy._txn_subs):
-            # Nothing retains completed transactions: re-initialize one
-            # scratch object per line and run the DMA-write handler
-            # directly (the access() wrapper's dispatch and publication
-            # are both no-ops without subscribers).
-            run = hierarchy._run_dma_write
-            txn = self._scratch_write
-            txn.now = now
-            if tags is None:
-                tag = decode_idio_bits(_MWR_FMT_TYPE | encode_idio_bits(_UNTAGGED))
-                txn.core = tag.dest_core
-                txn.tag = tag
-                if hook is None:
-                    txn.placement = "llc"
-                    for addr in addrs:
-                        txn.addr = addr & _LINE_MASK
-                        run(txn)
-                else:
-                    for addr in addrs:
-                        txn.addr = addr & _LINE_MASK
-                        txn.placement = hook(tag, addr, now)
-                        run(txn)
-                return
-            for addr, raw_tag in zip(addrs, tags):
+        # Without hop recording or a transaction subscriber nothing
+        # retains a completed transaction: one scratch object is then
+        # re-initialized per line and the DMA-write handler runs directly
+        # (the access() wrapper's dispatch and publication are no-ops).
+        retained = hierarchy.record_hops or hierarchy._txn_subs
+        run = hierarchy._run_dma_write
+        txn = self._scratch_write
+        txn.now = now
+        prev = None
+        for addr, raw_tag in zip(addrs, repeat(_UNTAGGED) if tags is None else tags):
+            if raw_tag is not prev:
+                prev = raw_tag
                 tag = decode_idio_bits(_MWR_FMT_TYPE | encode_idio_bits(raw_tag))
+            placement = hook(tag, addr, now) if hook is not None else "llc"
+            if retained:
+                hierarchy.access(
+                    MemoryTransaction(DMA_WRITE, addr, now, tag.dest_core, tag, placement)
+                )
+            else:
+                txn.addr = addr & _LINE_MASK
                 txn.core = tag.dest_core
                 txn.tag = tag
-                txn.placement = hook(tag, addr, now) if hook is not None else "llc"
-                txn.addr = addr & _LINE_MASK
+                txn.placement = placement
                 run(txn)
-            return
-        access = hierarchy.access
-        if tags is None:
-            tag = decode_idio_bits(_MWR_FMT_TYPE | encode_idio_bits(_UNTAGGED))
-            core = tag.dest_core
-            # Positional construction: this loop runs once per DMA'd line.
-            if hook is None:
-                for addr in addrs:
-                    access(MemoryTransaction(DMA_WRITE, addr, now, core, tag))
-            else:
-                for addr in addrs:
-                    access(
-                        MemoryTransaction(
-                            DMA_WRITE, addr, now, core, tag, hook(tag, addr, now)
-                        )
-                    )
-            return
-        for addr, raw_tag in zip(addrs, tags):
-            tag = decode_idio_bits(_MWR_FMT_TYPE | encode_idio_bits(raw_tag))
-            placement = hook(tag, addr, now) if hook is not None else "llc"
-            access(
-                MemoryTransaction(DMA_WRITE, addr, now, tag.dest_core, tag, placement)
-            )
 
     def _memory_write_batch_faulted(
         self,

@@ -15,7 +15,7 @@ from repro.analysis import InvariantSanitizer, InvariantViolation
 from repro.core.fsm import StatusFSM
 from repro.cpu.mempool import BufferPool
 from repro.mem.hierarchy import HierarchyConfig, MemoryHierarchy
-from repro.mem.line import CacheLine
+from repro.mem.line import LINE_SIZE, _LINE_MASK
 from repro.mem.transaction import (
     CPU_LOAD,
     DMA_WRITE,
@@ -53,31 +53,40 @@ class TestHierarchyState:
     def test_mlc_llc_duplicate_line(self):
         h, san = make_sanitizer()
         warm(h)
-        line = next(h.mlc[0].data.lines())
+        addr = next(h.mlc[0].data.lines()) & _LINE_MASK
         # Plant the non-inclusive violation: the same address resident in
         # both a private MLC and the LLC data array.
-        h.llc.data.insert(CacheLine(line.addr))
+        h.llc.data.insert(addr)
         with expect("mlc-llc-exclusivity") as excinfo:
             san.check_all()
         assert excinfo.value.invariant == "mlc-llc-exclusivity"
-        assert f"{line.addr:#x}" in str(excinfo.value)
+        assert f"{addr:#x}" in str(excinfo.value)
 
     def test_l1_without_mlc_copy(self):
         h, san = make_sanitizer(l1_enabled=True)
         warm(h)
-        l1_line = next(h.l1[0].data.lines())
+        addr = next(h.l1[0].data.lines()) & _LINE_MASK
         # Drop the MLC copy behind the hierarchy's back; L1 ⊆ MLC breaks.
-        h.mlc[0].data.remove(l1_line.addr)
-        h.llc.directory.remove(l1_line.addr, 0)
+        h.mlc[0].data.remove(addr)
+        h.llc.directory.remove(addr, 0)
         with expect("l1-inclusion"):
             san.check_all()
 
     def test_untracked_mlc_line(self):
         h, san = make_sanitizer()
         warm(h)
-        line = next(h.mlc[0].data.lines())
+        addr = next(h.mlc[0].data.lines()) & _LINE_MASK
         # A coherence bug: the snoop filter forgets an MLC-resident line.
-        h.llc.directory.remove(line.addr, 0)
+        h.llc.directory.remove(addr, 0)
+        with expect("directory-coverage"):
+            san.check_all()
+
+    def test_owner_bit_of_the_wrong_core(self):
+        h, san = make_sanitizer()
+        warm(h)
+        addr = next(h.mlc[0].data.lines()) & _LINE_MASK
+        # The entry survives but names core 1 instead of core 0.
+        h.llc.directory.masks[addr] = 0b10
         with expect("directory-coverage"):
             san.check_all()
 
@@ -87,8 +96,8 @@ class TestCacheStructure:
         h, san = make_sanitizer()
         warm(h)
         cache = h.mlc[0].data
-        addr = next(cache.lines()).addr
-        del cache._where[addr]
+        addr = next(cache.lines()) & _LINE_MASK
+        del cache.where[addr]
         with expect("cache-structure"):
             san.check_all()
 
@@ -96,10 +105,44 @@ class TestCacheStructure:
         h, san = make_sanitizer()
         warm(h)
         cache = h.mlc[0].data
-        addr = next(cache.lines()).addr
-        set_idx, way = cache._where[addr]
-        cache.policy._last_use[set_idx][way] = 0
+        addr = next(cache.lines()) & _LINE_MASK
+        cache.ticks[cache.where[addr]] = 0
         with expect("lru-consistency"):
+            san.check_all()
+
+    def test_lru_stamp_left_on_empty_way(self):
+        h, san = make_sanitizer()
+        warm(h)
+        cache = h.mlc[0].data
+        empty = cache.words.index(-1)
+        cache.ticks[empty] = 7
+        with expect("lru-consistency"):
+            san.check_all()
+
+    def test_stray_bits_in_line_word(self):
+        h, san = make_sanitizer()
+        warm(h)
+        cache = h.mlc[0].data
+        slot = cache.where[next(cache.lines()) & _LINE_MASK]
+        cache.words[slot] |= LINE_SIZE // 2  # not DIRTY, not IO
+        with expect("cache-structure"):
+            san.check_all()
+
+    def test_word_in_the_wrong_set(self):
+        h, san = make_sanitizer()
+        warm(h)
+        cache = h.mlc[0].data
+        addr = next(cache.lines()) & _LINE_MASK
+        slot = cache.where[addr]
+        # Move the line to an empty way of another set, index and all.
+        other = next(
+            i for i, word in enumerate(cache.words)
+            if word == -1 and i // cache.assoc != slot // cache.assoc
+        )
+        cache.words[other], cache.words[slot] = cache.words[slot], -1
+        cache.ticks[other], cache.ticks[slot] = cache.ticks[slot], 0
+        cache.where[addr] = other
+        with expect("cache-structure"):
             san.check_all()
 
 

@@ -84,4 +84,4 @@ class TestLegacyWrapperRemoval:
         """Removed != lost: the one-line migration keeps the semantics."""
         h = self._hierarchy()
         pcie_write(h, self.ADDR, 0)
-        assert h.llc.peek(self.ADDR) is not None
+        assert h.llc.peek(self.ADDR) >= 0

@@ -11,6 +11,7 @@ from repro.cpu.apps import (
 )
 from repro.cpu.core import Core
 from repro.mem.hierarchy import HierarchyConfig, MemoryHierarchy
+from repro.mem.line import DIRTY, IO
 from repro.net.packet import Packet
 from repro.sim import Simulator, units
 from tests.memtxn import pcie_write
@@ -89,7 +90,7 @@ class TestL2Fwd:
         sim, h, core = make_core()
         app = L2Fwd()
         app.process(core, dma_packet(h))
-        assert h.mlc[0].peek(BUF).dirty
+        assert h.mlc[0].peek(BUF) == BUF | DIRTY | IO  # DMA'd, then rewritten
 
     def test_transmits_flag(self):
         assert L2Fwd().transmits

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cpu.maintenance import MaintenanceUnit
-from repro.cpu.pagetable import InvalidatePermissionError, PageTable
+from repro.cpu.pagetable import PAGE_SIZE, InvalidatePermissionError, PageTable
 from repro.mem.hierarchy import HierarchyConfig, MemoryHierarchy
 from tests.memtxn import cpu_access, pcie_write
 
@@ -47,6 +47,29 @@ class TestInvalidateRange:
         unit.invalidate_range(BUF, 1514, 0)  # allowed
         with pytest.raises(InvalidatePermissionError):
             unit.invalidate_range(0x90000, 64, 0)  # unmapped page
+
+    def test_permission_checked_per_page(self):
+        """A range running from an Invalidatable page into a plain one
+        invalidates exactly the first page's lines, then faults naming
+        the second page; the check runs once per page, not per line."""
+        h, unit = make_unit()
+        pt = PageTable()
+        pt.allocate_invalidatable(BUF, PAGE_SIZE)
+        pt.map_range(BUF + PAGE_SIZE, PAGE_SIZE)
+        unit.page_table = pt
+        lines = 2 * PAGE_SIZE // 64
+        for i in range(lines):
+            cpu_access(h, 0, BUF + i * 64, False, 0)
+        checked = []
+        check = pt.check_invalidate
+        pt.check_invalidate = lambda addr: (checked.append(addr), check(addr))
+        with pytest.raises(InvalidatePermissionError, match=f"{(BUF + PAGE_SIZE) // PAGE_SIZE:#x}"):
+            unit.invalidate_range(BUF + 32, 2 * PAGE_SIZE - 32, 0)
+        assert checked == [BUF + 32, BUF + PAGE_SIZE]
+        assert unit.invalidated_lines == 0  # a faulting call adds nothing to the count
+        assert h.stats.counters.get("self_invalidations") == lines // 2
+        assert all(BUF + i * 64 not in h.mlc[0] for i in range(lines // 2))
+        assert all(BUF + i * 64 in h.mlc[0] for i in range(lines // 2, lines))
 
     def test_private_scope_leaves_llc(self):
         h, unit = make_unit(scope="private")

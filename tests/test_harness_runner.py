@@ -8,7 +8,9 @@ diagnostics (``wall_seconds``/``events_per_second``) are excluded, since
 they measure the host, not the simulation.
 """
 
+import gc
 import pickle
+import weakref
 from dataclasses import fields, is_dataclass, replace
 
 import pytest
@@ -97,6 +99,30 @@ class TestExperimentSummary:
         assert result.timeline("pcie_writes") == timeline
         assert result.summary().fingerprint() == summary.fingerprint()
         assert result.completed > 0
+
+    def test_summary_run_frees_the_server_without_the_cycle_collector(
+        self, monkeypatch
+    ):
+        """The server graph is cyclic (bus subscribers are bound methods
+        of components holding the bus); run_experiment_summary must not
+        leave it for a generation-2 pass that may never come."""
+        parts = []
+
+        def spy(experiment):
+            result = run_experiment(experiment)
+            server = result.server
+            parts.extend(
+                weakref.ref(obj) for obj in (server, server.hierarchy, server.sim)
+            )
+            return result
+
+        monkeypatch.setattr(runner, "run_experiment", spy)
+        gc.disable()
+        try:
+            run_experiment_summary(small_experiment(policy=idio()))
+            assert [ref() for ref in parts] == [None, None, None]
+        finally:
+            gc.enable()
 
     def test_result_is_a_summary_plus_the_server(self):
         summary_fields = [f.name for f in fields(ExperimentSummary)]

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.mem.cache import CacheConfig, SetAssociativeCache
-from repro.mem.line import LINE_SIZE, CacheLine
+from repro.mem.line import DIRTY, IO, LINE_SIZE, NO_LINE
 
 
 def small_cache(assoc=4, sets=4, replacement="lru"):
@@ -37,67 +37,71 @@ class TestGeometry:
 class TestBasicOps:
     def test_insert_then_lookup(self):
         c = small_cache()
-        c.insert(CacheLine(0))
-        assert c.lookup(0) is not None
+        c.insert(0)
+        assert c.lookup(0) >= 0
+        assert c.words[c.lookup(0)] == 0
         assert 0 in c
 
     def test_miss_returns_none(self):
         c = small_cache()
-        assert c.lookup(0) is None
+        assert c.lookup(0) == NO_LINE
+        assert c.peek(0) == NO_LINE
 
     def test_peek_does_not_touch_recency(self):
         c = small_cache(assoc=2, sets=1)
         a, b = addr_for_set(c, 0, 0), addr_for_set(c, 0, 1)
-        c.insert(CacheLine(a))
-        c.insert(CacheLine(b))
+        c.insert(a)
+        c.insert(b)
         c.peek(a)  # should NOT refresh a
-        victim = c.insert(CacheLine(addr_for_set(c, 0, 2)))
-        assert victim.addr == a
+        victim = c.insert(addr_for_set(c, 0, 2))
+        assert victim == a
 
     def test_lookup_refreshes_recency(self):
         c = small_cache(assoc=2, sets=1)
         a, b = addr_for_set(c, 0, 0), addr_for_set(c, 0, 1)
-        c.insert(CacheLine(a))
-        c.insert(CacheLine(b))
+        c.insert(a)
+        c.insert(b)
         c.lookup(a)
-        victim = c.insert(CacheLine(addr_for_set(c, 0, 2)))
-        assert victim.addr == b
+        victim = c.insert(addr_for_set(c, 0, 2))
+        assert victim == b
 
     def test_insert_existing_updates_in_place(self):
         c = small_cache()
-        c.insert(CacheLine(0, dirty=False))
-        victim = c.insert(CacheLine(0, dirty=True))
-        assert victim is None
-        assert c.peek(0).dirty
+        c.insert(0)
+        victim = c.insert(0 | DIRTY)
+        assert victim == NO_LINE
+        assert c.peek(0) == DIRTY
         assert len(c) == 1
 
     def test_dirty_is_sticky_on_update(self):
         c = small_cache()
-        c.insert(CacheLine(0, dirty=True))
-        c.insert(CacheLine(0, dirty=False))
-        assert c.peek(0).dirty
+        c.insert(0 | DIRTY | IO)
+        c.insert(0)
+        # Dirty is OR-ed in; the origin is the latest fill's.
+        assert c.peek(0) == DIRTY
 
     def test_remove(self):
         c = small_cache()
-        c.insert(CacheLine(0))
+        c.insert(0 | IO)
         removed = c.remove(0)
-        assert removed.addr == 0
+        assert removed == 0 | IO
         assert 0 not in c
-        assert c.remove(0) is None
+        assert c.remove(0) == NO_LINE
 
     def test_eviction_on_full_set(self):
         c = small_cache(assoc=2, sets=1)
-        c.insert(CacheLine(addr_for_set(c, 0, 0)))
-        c.insert(CacheLine(addr_for_set(c, 0, 1)))
-        victim = c.insert(CacheLine(addr_for_set(c, 0, 2)))
-        assert victim is not None
+        c.insert(addr_for_set(c, 0, 0))
+        c.insert(addr_for_set(c, 0, 1) | DIRTY)
+        victim = c.insert(addr_for_set(c, 0, 2))
+        assert victim == addr_for_set(c, 0, 0)
         assert len(c) == 2
 
     def test_clear(self):
         c = small_cache()
-        c.insert(CacheLine(0))
+        c.insert(0)
         c.clear()
         assert len(c) == 0
+        assert all(word == NO_LINE for word in c.words)
 
 
 class TestWayMasks:
@@ -105,43 +109,46 @@ class TestWayMasks:
         c = small_cache(assoc=4, sets=1)
         # Fill ways 0-1 via mask, then verify victims come from the mask.
         a0, a1, a2 = (addr_for_set(c, 0, t) for t in range(3))
-        c.insert(CacheLine(a0), way_mask=[0, 1])
-        c.insert(CacheLine(a1), way_mask=[0, 1])
-        victim = c.insert(CacheLine(a2), way_mask=[0, 1])
-        assert victim is not None
-        assert victim.addr == a0  # LRU within the mask
+        c.insert(a0, [0, 1])
+        c.insert(a1, [0, 1])
+        victim = c.insert(a2, [0, 1])
+        assert victim == a0  # LRU within the mask
 
     def test_masked_fill_does_not_evict_outside_mask(self):
         c = small_cache(assoc=4, sets=1)
         outside = addr_for_set(c, 0, 9)
-        c.insert(CacheLine(outside), way_mask=[2])
+        c.insert(outside, [2])
         for t in range(5):
-            c.insert(CacheLine(addr_for_set(c, 0, t)), way_mask=[0, 1])
+            c.insert(addr_for_set(c, 0, t), (0, 1))
         assert outside in c
 
     def test_empty_mask_rejected(self):
         c = small_cache()
         with pytest.raises(ValueError):
-            c.insert(CacheLine(0), way_mask=[])
+            c.insert(0, [])
+        with pytest.raises(ValueError):
+            c.insert(0, ())
 
     def test_out_of_range_way_rejected(self):
         c = small_cache(assoc=2, sets=1)
         with pytest.raises(ValueError):
-            c.insert(CacheLine(0), way_mask=[5])
+            c.insert(0, [5])
+        with pytest.raises(ValueError):
+            c.insert(0, (5,))
 
     def test_mask_order_controls_empty_slot_preference(self):
         c = small_cache(assoc=4, sets=1)
-        c.insert(CacheLine(addr_for_set(c, 0, 0)), way_mask=[2, 3, 0, 1])
+        c.insert(addr_for_set(c, 0, 0), [2, 3, 0, 1])
         # The line should occupy way 2 (first in the preference order).
-        assert c._where[addr_for_set(c, 0, 0)][1] == 2
+        assert c.where[addr_for_set(c, 0, 0)] == 2
 
 
 class TestOccupancy:
     def test_occupancy_by_origin(self):
         c = small_cache()
-        c.insert(CacheLine(0, origin="io"))
-        c.insert(CacheLine(64, origin="cpu"))
-        c.insert(CacheLine(128, origin="io"))
+        c.insert(0 | IO)
+        c.insert(64)
+        c.insert(128 | IO | DIRTY)
         assert c.occupancy_by_origin() == {"io": 2, "cpu": 1}
 
 
@@ -163,7 +170,7 @@ class TestProperties:
         c = small_cache(assoc=2, sets=4)
         for kind, addr in ops:
             if kind == "insert":
-                c.insert(CacheLine(addr))
+                c.insert(addr)
             elif kind == "remove":
                 c.remove(addr)
             else:
@@ -171,12 +178,13 @@ class TestProperties:
             # Invariant 1: never exceed capacity (per set and total).
             assert len(c) <= c.num_sets * c.assoc
             # Invariant 2: the address index agrees with the stored lines.
-            stored = sorted(line.addr for line in c.lines())
-            assert stored == sorted(c._where.keys())
+            stored = sorted(c.lines())
+            assert stored == sorted(c.where.keys())
             # Invariant 3: each line sits in the set its address maps to.
-            for line in c.lines():
-                set_idx, _ = c._where[line.addr]
-                assert set_idx == c.set_index(line.addr)
+            for word in c.lines():
+                slot = c.where[word]
+                assert c.words[slot] == word
+                assert slot // c.assoc == c.set_index(word)
 
     @settings(max_examples=30)
     @given(st.lists(st.integers(min_value=0, max_value=255), min_size=1, max_size=80))
@@ -184,5 +192,5 @@ class TestProperties:
         c = small_cache(assoc=2, sets=2)
         for tag in tags:
             addr = tag * LINE_SIZE
-            c.insert(CacheLine(addr))
+            c.insert(addr)
             assert addr in c

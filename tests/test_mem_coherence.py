@@ -3,6 +3,7 @@
 import pytest
 
 from repro.mem.hierarchy import HierarchyConfig, MemoryHierarchy
+from repro.mem.line import DIRTY
 from tests.memtxn import cpu_access, pcie_write
 
 ADDR = 0x200000
@@ -20,7 +21,7 @@ class TestCacheToCache:
         assert result.level == "c2c"
         assert ADDR not in h.mlc[0]
         assert ADDR in h.mlc[1]
-        assert h.mlc[1].peek(ADDR).dirty  # dirtiness migrates, no DRAM trip
+        assert h.mlc[1].peek(ADDR) == ADDR | DIRTY  # dirtiness migrates, no DRAM trip
         assert h.dram.reads == 1  # only core 0's original fill
 
     def test_directory_tracks_migration(self):
@@ -49,7 +50,7 @@ class TestCacheToCache:
         h = make_hierarchy()
         cpu_access(h, 0, ADDR, False, 0)  # clean in core 0
         cpu_access(h, 1, ADDR, True, 10)  # migrate + write
-        assert h.mlc[1].peek(ADDR).dirty
+        assert h.mlc[1].peek(ADDR) == ADDR | DIRTY
 
     def test_counter(self):
         h = make_hierarchy()

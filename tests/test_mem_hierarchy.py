@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.mem.cache import CacheConfig
 from repro.mem.hierarchy import HierarchyConfig, MemoryHierarchy
-from repro.mem.line import LINE_SIZE
+from repro.mem.line import DIRTY, IO, LINE_SIZE
 from repro.obs.events import MlcWritebackEvent
 from tests.memtxn import cpu_access, invalidate, pcie_read, pcie_write, prefetch_fill
 
@@ -38,20 +38,18 @@ class TestPcieWriteIngress:
     def test_uncached_write_allocates_in_ddio_ways(self):
         h = make_hierarchy()
         pcie_write(h, ADDR, 0)
-        line = h.llc.peek(ADDR)
-        assert line is not None and line.dirty and line.origin == "io"
-        _, way = h.llc.data._where[ADDR]
+        assert h.llc.peek(ADDR) == ADDR | DIRTY | IO  # dirty I/O data
+        way = h.llc.data.where[ADDR] % h.llc.data.assoc
         assert way < h.llc.ddio_ways  # P5-1: write-allocate in DDIO ways
 
     def test_llc_resident_line_updated_in_place(self):
         h = make_hierarchy()
         # Put the line in a non-DDIO way via the CPU victim path.
-        h.llc.fill_cpu(__import__("repro.mem.line", fromlist=["CacheLine"]).CacheLine(ADDR), 0)
-        _, way_before = h.llc.data._where[ADDR]
+        h.llc.fill_cpu(ADDR, 0)
+        slot_before = h.llc.data.where[ADDR]
         pcie_write(h, ADDR, 0)
-        _, way_after = h.llc.data._where[ADDR]
-        assert way_before == way_after  # P3-1: in-place update
-        assert h.llc.peek(ADDR).dirty
+        assert h.llc.data.where[ADDR] == slot_before  # P3-1: in-place update
+        assert h.llc.peek(ADDR) == ADDR | DIRTY | IO
 
     def test_mlc_resident_line_invalidated(self):
         h = make_hierarchy()
@@ -139,7 +137,7 @@ class TestDemandPath:
         assert ADDR in h.mlc[0]
         assert ADDR not in h.llc           # data left the LLC
         assert ADDR in h.llc.directory     # tag moved to the directory
-        assert h.mlc[0].peek(ADDR).dirty   # dirtiness carried upward
+        assert h.mlc[0].peek(ADDR) == ADDR | DIRTY | IO  # state carried upward
 
     def test_miss_everywhere_reads_dram(self):
         h = make_hierarchy()
@@ -157,7 +155,7 @@ class TestDemandPath:
     def test_write_marks_dirty(self):
         h = make_hierarchy()
         cpu_access(h, 0, ADDR, True, 0)
-        assert h.mlc[0].peek(ADDR).dirty
+        assert h.mlc[0].peek(ADDR) == ADDR | DIRTY
 
     def test_latency_ordering(self):
         h = make_hierarchy()
@@ -199,7 +197,7 @@ class TestDemandPath:
             cpu_access(h, 0, conflict, False, t)
         assert ADDR not in mlc
         assert ADDR in h.llc
-        _, way = h.llc.data._where[ADDR]
+        way = h.llc.data.where[ADDR] % h.llc.data.assoc
         assert way >= h.llc.ddio_ways  # bloated into a non-DDIO way
 
 
@@ -272,7 +270,7 @@ class TestL1:
         h = make_hierarchy(l1=True)
         cpu_access(h, 0, ADDR, False, 0)
         cpu_access(h, 0, ADDR, True, 1)  # L1 hit write
-        assert h.mlc[0].peek(ADDR).dirty
+        assert h.mlc[0].peek(ADDR) == ADDR | DIRTY
 
 
 class TestInclusiveCounterfactual:

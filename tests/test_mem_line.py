@@ -4,10 +4,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.mem.line import (
+    DIRTY,
+    IO,
     LINE_SIZE,
-    CacheLine,
     line_address,
     line_index,
+    line_word,
     lines_spanning,
     num_lines,
 )
@@ -54,16 +56,18 @@ class TestAddressHelpers:
 
 
 class TestCacheLine:
+    """A resident line is one int: its address with DIRTY/IO in the low bits."""
+
     def test_requires_aligned_address(self):
         with pytest.raises(ValueError):
-            CacheLine(65)
+            line_word(65)
 
     def test_defaults(self):
-        line = CacheLine(128)
-        assert not line.dirty
-        assert line.origin == "cpu"
-        assert line.owner == -1
+        word = line_word(128)
+        assert word == 128  # clean, CPU origin
+        assert not word & DIRTY and not word & IO
 
     def test_io_origin(self):
-        line = CacheLine(64, dirty=True, origin="io", owner=3)
-        assert line.dirty and line.origin == "io" and line.owner == 3
+        word = line_word(64, dirty=True, io=True)
+        assert word == 64 | DIRTY | IO
+        assert line_address(word) == 64  # the flags live below the line offset

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.mem.cache import CacheConfig
-from repro.mem.line import LINE_SIZE, CacheLine
+from repro.mem.line import DIRTY, IO, LINE_SIZE, NO_LINE
 from repro.mem.llc import NonInclusiveLLC, SnoopFilterDirectory
 from repro.mem.stats import StatsBundle
 
@@ -56,7 +56,7 @@ class TestDirectory:
         d.add(64, 0)
         d.add(0, 0)  # refresh
         evicted = d.add(128, 0)
-        assert [e.addr for e in evicted] == [64]
+        assert evicted == [(64, 0b1)]  # (addr, owner bitmask)
         assert 0 in d and 128 in d
 
     def test_unbounded_never_evicts(self):
@@ -72,31 +72,31 @@ class TestDDIOWayPartition:
         now = 0
         # Three IO fills into a set with 2 DDIO ways: third evicts the first.
         a0, a1, a2 = (addr_in_set(llc, 0, t) for t in range(3))
-        assert llc.fill_io(CacheLine(a0, dirty=True), now) is None
-        assert llc.fill_io(CacheLine(a1, dirty=True), now) is None
-        victim = llc.fill_io(CacheLine(a2, dirty=True), now)
-        assert victim is not None and victim.addr == a0
+        assert llc.fill_io(a0 | DIRTY, now) == NO_LINE
+        assert llc.fill_io(a1 | DIRTY, now) == NO_LINE
+        victim = llc.fill_io(a2 | DIRTY, now)
+        assert victim == a0 | DIRTY | IO
 
     def test_io_fill_never_evicts_cpu_lines_outside_ddio_ways(self):
         llc = make_llc(assoc=4, sets=1, ddio_ways=2)
         cpu_addr = addr_in_set(llc, 0, 10)
-        llc.fill_cpu(CacheLine(cpu_addr), 0)
+        llc.fill_cpu(cpu_addr, 0)
         for t in range(6):
-            llc.fill_io(CacheLine(addr_in_set(llc, 0, t), dirty=True), 0)
+            llc.fill_io(addr_in_set(llc, 0, t) | DIRTY, 0)
         assert cpu_addr in llc
 
     def test_cpu_fill_prefers_non_ddio_ways(self):
         llc = make_llc(assoc=4, sets=1, ddio_ways=2)
-        llc.fill_cpu(CacheLine(addr_in_set(llc, 0, 0)), 0)
-        set_idx, way = llc.data._where[addr_in_set(llc, 0, 0)]
+        llc.fill_cpu(addr_in_set(llc, 0, 0), 0)
+        way = llc.data.where[addr_in_set(llc, 0, 0)] % llc.data.assoc
         assert way >= llc.ddio_ways
 
     def test_cpu_fill_can_spill_into_ddio_ways_when_set_full(self):
         llc = make_llc(assoc=4, sets=1, ddio_ways=2)
         for t in range(3):
-            llc.fill_cpu(CacheLine(addr_in_set(llc, 0, t)), 0)
+            llc.fill_cpu(addr_in_set(llc, 0, t), 0)
         # Ways 2,3 full; third CPU line went into a DDIO way.
-        ways = {llc.data._where[addr_in_set(llc, 0, t)][1] for t in range(3)}
+        ways = {llc.data.where[addr_in_set(llc, 0, t)] % llc.data.assoc for t in range(3)}
         assert ways & {0, 1}
 
     def test_invalid_ddio_ways_rejected(self):
@@ -107,8 +107,8 @@ class TestDDIOWayPartition:
 
     def test_io_occupancy_counts_io_lines(self):
         llc = make_llc()
-        llc.fill_io(CacheLine(0, dirty=True), 0)
-        llc.fill_cpu(CacheLine(64), 0)
+        llc.fill_io(0 | DIRTY, 0)
+        llc.fill_cpu(64, 0)
         assert llc.io_occupancy() == 1
 
 
@@ -117,16 +117,16 @@ class TestCATMasks:
         llc = make_llc(assoc=4, sets=1)
         llc.set_core_way_mask(0, [3])
         a0, a1 = addr_in_set(llc, 0, 0), addr_in_set(llc, 0, 1)
-        llc.fill_cpu(CacheLine(a0), 0, core=0)
-        victim = llc.fill_cpu(CacheLine(a1), 0, core=0)
-        assert victim is not None and victim.addr == a0
+        llc.fill_cpu(a0, 0, core=0)
+        victim = llc.fill_cpu(a1, 0, core=0)
+        assert victim == a0
 
     def test_unmasked_core_uses_full_order(self):
         llc = make_llc(assoc=4, sets=1)
         llc.set_core_way_mask(0, [3])
         # Core 1 has no mask: it can use the other ways freely.
         for t in range(3):
-            assert llc.fill_cpu(CacheLine(addr_in_set(llc, 0, t)), 0, core=1) is None
+            assert llc.fill_cpu(addr_in_set(llc, 0, t), 0, core=1) == NO_LINE
 
     def test_empty_mask_rejected(self):
         with pytest.raises(ValueError):
@@ -141,9 +141,8 @@ class TestUpdateInPlace:
     def test_existing_line_updated_not_reallocated(self):
         llc = make_llc(assoc=4, sets=1)
         addr = addr_in_set(llc, 0, 0)
-        llc.fill_cpu(CacheLine(addr), 0)  # lands in a non-DDIO way
-        _, way_before = llc.data._where[addr]
-        llc.fill_io(CacheLine(addr, dirty=True), 0)  # in-place update
-        _, way_after = llc.data._where[addr]
-        assert way_before == way_after
-        assert llc.peek(addr).dirty
+        llc.fill_cpu(addr, 0)  # lands in a non-DDIO way
+        slot_before = llc.data.where[addr]
+        llc.fill_io(addr | DIRTY, 0)  # in-place update
+        assert llc.data.where[addr] == slot_before
+        assert llc.peek(addr) == addr | DIRTY | IO

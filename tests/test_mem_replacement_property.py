@@ -12,7 +12,7 @@ identical victim choices throughout.
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.mem.cache import CacheConfig, SetAssociativeCache
-from repro.mem.line import LINE_SIZE, CacheLine
+from repro.mem.line import DIRTY, LINE_SIZE
 from repro.mem.replacement import LRUPolicy, ReferenceLRUPolicy
 
 
@@ -114,15 +114,10 @@ def test_cache_evictions_identical_under_lru_and_reference(trace):
     fast, ref = build("lru"), build("lru-ref")
     for kind, addr, mask in ops:
         if kind == "insert":
-            ev_fast = fast.insert(CacheLine(addr, dirty=True), way_mask=mask)
-            ev_ref = ref.insert(CacheLine(addr, dirty=True), way_mask=mask)
-            assert (ev_fast.addr if ev_fast else None) == (
-                ev_ref.addr if ev_ref else None
-            )
+            assert fast.insert(addr | DIRTY, mask) == ref.insert(addr | DIRTY, mask)
         else:
-            hit_fast = fast.lookup(addr)
-            hit_ref = ref.lookup(addr)
-            assert (hit_fast is None) == (hit_ref is None)
+            # Same slot (or -1 on both sides): the layouts agree too.
+            assert fast.lookup(addr) == ref.lookup(addr)
 
 
 def test_replacement_knob_reaches_every_level():
@@ -139,4 +134,4 @@ def test_replacement_knob_reaches_every_level():
     )
     # The cache's fused LRU fast path must disengage for non-default
     # policies (it is keyed to the exact LRUPolicy type).
-    assert hierarchy.llc.data._lru_rows is None
+    assert hierarchy.llc.data.ticks is None

@@ -8,6 +8,7 @@ from repro.nic.classifier import (
     IdioClassifier,
     gbps_to_bytes_per_interval,
 )
+from repro.pcie.tlp import IdioTag
 from repro.sim import Simulator, units
 
 
@@ -82,22 +83,42 @@ class TestTagging:
     def test_first_line_is_header(self):
         _, clf = make_classifier()
         p = Packet(size_bytes=1514)
-        tag0 = clf.tag_for_line(p, 2, 0, False)
-        tag1 = clf.tag_for_line(p, 2, 1, False)
+        tag0, tag1 = clf.tags_for_packet(p, 2, False)[:2]
         assert tag0.is_header and not tag1.is_header
         assert tag0.dest_core == 2
 
     def test_class1_packet_tagged_class1(self):
         _, clf = make_classifier()
         p = Packet(size_bytes=1514, app_class=1)
-        tag = clf.tag_for_line(p, 2, 5, False)
+        tag = clf.tags_for_packet(p, 2, False)[5]
         assert tag.app_class == 1
 
     def test_burst_flag_propagated(self):
         _, clf = make_classifier()
         p = Packet()
-        assert clf.tag_for_line(p, 0, 0, True).is_burst
-        assert not clf.tag_for_line(p, 0, 0, False).is_burst
+        assert clf.tags_for_packet(p, 0, True)[0].is_burst
+        assert not clf.tags_for_packet(p, 0, False)[0].is_burst
+
+    @pytest.mark.parametrize("size", [64, 65, 1514])
+    @pytest.mark.parametrize("burst", [False, True])
+    @pytest.mark.parametrize("app_class", [0, 1])
+    def test_per_packet_tags_equal_per_line_tags(self, size, burst, app_class):
+        _, clf = make_classifier()
+        p = Packet(size_bytes=size, app_class=app_class)
+        tags = clf.tags_for_packet(p, 3, burst)
+        # The per-line definition: header flag on line 0 only, class-1
+        # packets carry no destination core.
+        assert tags == [
+            IdioTag(
+                dest_core=3 if app_class == 0 else 0,
+                app_class=app_class,
+                is_header=(i == 0),
+                is_burst=burst,
+            )
+            for i in range(p.num_lines)
+        ]
+        # One header object plus one body object shared by every body line.
+        assert all(tag is tags[-1] for tag in tags[1:])
 
     def test_stop_halts_reset_task(self):
         sim, clf = make_classifier()
