@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-benchmarks bench bench-check bench-smoke validate lint analyze check faults-smoke rack-smoke serve-smoke tenants-smoke
+.PHONY: test test-benchmarks bench bench-check bench-smoke perfbench-smoke validate lint analyze check faults-smoke rack-smoke serve-smoke tenants-smoke
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -64,6 +64,13 @@ bench-check:
 # the 25% gate (see docs/performance.md).
 bench-smoke:
 	$(PYTHON) tools/bench.py --quick --check --threshold 150
+
+# Byte-identity gate: perfbench's self-tests (no simulation), then one
+# burst_idio iteration, which exits 1 unless its fingerprint digest equals
+# the one recorded in perfbench/digests.json.
+perfbench-smoke:
+	$(PYTHON) -m pytest perfbench -q
+	$(PYTHON) perfbench/run.py --workload burst_idio --seconds 0 --trace 0
 
 validate:
 	$(PYTHON) -m repro.cli validate --quick

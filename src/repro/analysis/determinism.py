@@ -15,11 +15,14 @@ import hashlib
 
 
 def fingerprint_digest(summary) -> str:
-    """SHA-256 hex digest of a summary's deterministic fingerprint.
+    """SHA-256 hex digest of ``repr(summary.fingerprint())``.
 
-    ``summary`` is any object with a ``fingerprint()`` method returning a
-    ``repr``-stable tuple (floats repr round-trip exactly, so equal
-    fingerprints imply equal digests and vice versa).
+    The ``repr`` is hashed as the chunks of ``summary.fingerprint_text()``
+    arrive, so digesting allocates one chunk at a time instead of a boxed
+    copy of every timestamp and its text.  Floats ``repr`` round-trip
+    exactly, so equal fingerprints imply equal digests and vice versa.
     """
-    payload = repr(summary.fingerprint()).encode("utf-8")
-    return hashlib.sha256(payload).hexdigest()
+    digest = hashlib.sha256()
+    for chunk in summary.fingerprint_text():
+        digest.update(chunk.encode("utf-8"))
+    return digest.hexdigest()

@@ -9,8 +9,9 @@ time).
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field, fields, is_dataclass, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.policies import PolicyConfig, ddio
 from ..mem import stats as stats_mod
@@ -88,7 +89,9 @@ class ExperimentSummary:
     :class:`SimulatedServer` (caches, rings, per-packet objects) — cheap
     to hand around in-process, but unserializable in practice and a
     memory leak across a sweep.  The summary carries only derived data: window statistics, the raw
-    timestamp lists of the :data:`SUMMARY_STREAMS`, latencies, counters,
+    timestamps of the :data:`SUMMARY_STREAMS` (packed ``array('q')``, so
+    ~180k of them pickle and sit in memory as 8 bytes each rather than as
+    boxed ints), latencies, counters,
     and a handful of scalars the figures and extensions read off the
     server.  Everything here pickles, so it is also the unit of transfer
     for the process-pool runner (``repro.harness.runner``).
@@ -109,8 +112,8 @@ class ExperimentSummary:
     decisions: Dict[str, int]
     #: Full counter snapshot (``direct_dram_writes``, ``back_invalidations`` ...).
     counters: Dict[str, int]
-    #: Raw timestamps per stream in :data:`SUMMARY_STREAMS`.
-    event_streams: Dict[str, List[int]]
+    #: Raw timestamps per stream in :data:`SUMMARY_STREAMS`, packed int64.
+    event_streams: Dict[str, array[int]]
     latency_breakdown: Dict[str, float]
     #: Per-core ``stats.mem_accesses`` (NF cores first, antagonist last).
     core_mem_accesses: List[int]
@@ -155,7 +158,7 @@ class ExperimentSummary:
     def latency_breakdown_ns(self) -> Dict[str, float]:
         return dict(self.latency_breakdown)
 
-    def _stream(self, stream: str) -> List[int]:
+    def _stream(self, stream: str) -> Sequence[int]:
         try:
             return self.event_streams[stream]
         except KeyError:
@@ -213,6 +216,18 @@ class ExperimentSummary:
             _fingerprint_value(getattr(self, name)) for name in _FINGERPRINT_FIELDS
         )
 
+    def fingerprint_text(self) -> Iterator[str]:
+        """The text of ``repr(self.fingerprint())``, in bounded chunks.
+
+        Concatenated, the chunks equal that ``repr`` exactly, but neither
+        the boxed tuple nor the multi-MB string is ever built — this is
+        what :func:`~repro.analysis.determinism.fingerprint_digest` hashes.
+        """
+        return _tuple_text(
+            (_fingerprint_text(getattr(self, name)) for name in _FINGERPRINT_FIELDS),
+            len(_FINGERPRINT_FIELDS),
+        )
+
 
 #: ``ExperimentSummary`` fields the fingerprint leaves out: the
 #: experiment itself (it *keys* the comparison), the wall-clock
@@ -230,17 +245,57 @@ _FINGERPRINT_FIELDS: Tuple[str, ...] = tuple(
 def _fingerprint_value(value):
     """Normalise one summary value into a ``repr``-stable, hashable form.
 
-    A dict becomes its sorted ``(key, value)`` pairs, a list a tuple (one
-    C-level copy: list elements are scalars), a nested dataclass the
+    A dict becomes its sorted ``(key, value)`` pairs, a list or packed
+    ``array`` a tuple of its (scalar) elements, a nested dataclass the
     tuple of its fields; scalars pass through.
     """
     if isinstance(value, dict):
         return tuple((k, _fingerprint_value(v)) for k, v in sorted(value.items()))
-    if isinstance(value, list):
+    if isinstance(value, (list, array)):
         return tuple(value)
     if is_dataclass(value):
         return tuple(_fingerprint_value(getattr(value, f.name)) for f in fields(value))
     return value
+
+
+#: Sequence elements rendered per chunk by :func:`_fingerprint_text`.
+_TEXT_CHUNK = 4096
+
+
+def _fingerprint_text(value) -> Iterator[str]:
+    """The text of ``repr(_fingerprint_value(value))``, in bounded chunks.
+
+    Mirrors :func:`_fingerprint_value` branch for branch.  A list or array
+    is rendered :data:`_TEXT_CHUNK` elements at a time: a list's ``repr``
+    without its brackets is exactly its elements' text inside a tuple's.
+    """
+    if isinstance(value, dict):
+        pairs = sorted(value.items())
+        yield from _tuple_text(
+            (_tuple_text(((repr(k),), _fingerprint_text(v)), 2) for k, v in pairs),
+            len(pairs),
+        )
+    elif isinstance(value, (list, array)):
+        chunks = range(0, len(value), _TEXT_CHUNK)
+        yield from _tuple_text(
+            ((repr(list(value[i : i + _TEXT_CHUNK]))[1:-1],) for i in chunks),
+            len(value),
+        )
+    elif is_dataclass(value):
+        fs = fields(value)
+        yield from _tuple_text((_fingerprint_text(getattr(value, f.name)) for f in fs), len(fs))
+    else:
+        yield repr(value)
+
+
+def _tuple_text(parts: Iterable[Iterable[str]], length: int) -> Iterator[str]:
+    """``repr`` of a ``length``-tuple whose text is ``parts`` joined by ", "."""
+    yield "("
+    for i, part in enumerate(parts):
+        if i:
+            yield ", "
+        yield from part
+    yield ",)" if length == 1 else ")"
 
 
 @dataclass

@@ -102,10 +102,10 @@ def burst_processing_time(stats: StatsBundle, completions: Sequence[int]) -> Opt
     The DMA phase begins with the first PCIe write; the execution phase
     ends at the last packet completion.
     """
-    writes = stats.events.timestamps("pcie_writes")
-    if not writes or not completions:
+    first_write = stats.events.first("pcie_writes")
+    if first_write is None or not completions:
         return None
-    return max(completions) - writes[0]
+    return max(completions) - first_write
 
 
 def timeline_mtps(

@@ -13,8 +13,10 @@ Two collection primitives are provided:
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left
 from collections import defaultdict
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..obs.events import LlcWritebackEvent, MlcWritebackEvent
 from ..sim import units
@@ -49,20 +51,18 @@ class Counter:
         return f"Counter({body})"
 
 
-def count_between(times: List[int], start: int, end: int) -> int:
-    """Events of a sorted timestamp list falling in ``[start, end)``."""
-    lo = _bisect_left(times, start)
-    hi = _bisect_left(times, end)
-    return hi - lo
+def count_between(times: Sequence[int], start: int, end: int) -> int:
+    """Events of a sorted timestamp sequence falling in ``[start, end)``."""
+    return bisect_left(times, end) - bisect_left(times, start)
 
 
 def rate_series(
-    times: List[int],
+    times: Sequence[int],
     bin_ticks: int,
     start: int = 0,
     end: int = 0,
 ) -> List[Tuple[int, int]]:
-    """Bin a timestamp list into ``(bin_start_tick, count)`` pairs.
+    """Bin sorted timestamps into ``(bin_start_tick, count)`` pairs.
 
     ``end`` defaults to the last timestamp (rounded up to a full bin).
     Empty bins are included so timelines have a uniform x axis.
@@ -80,7 +80,7 @@ def rate_series(
 
 
 def mtps_series(
-    times: List[int],
+    times: Sequence[int],
     bin_ticks: int,
     start: int = 0,
     end: int = 0,
@@ -102,10 +102,11 @@ class EventLog:
     """Timestamp logs, one list per named event stream.
 
     Timestamps are simulator ticks.  ``record`` is the hot path and is kept
-    to a single ``append``.  The binning helpers are module-level functions
+    to a single ``list.append`` (several times cheaper than appending to an
+    ``array``).  The binning helpers are module-level functions
     (``count_between``/``rate_series``/``mtps_series``) so that detached
-    timestamp lists — e.g. the ones an ``ExperimentSummary`` carries across
-    process boundaries — bin identically to a live log.
+    timestamp sequences — e.g. the packed ones an ``ExperimentSummary``
+    carries across process boundaries — bin identically to a live log.
     """
 
     def __init__(self) -> None:
@@ -124,8 +125,14 @@ class EventLog:
     def streams(self) -> Iterable[str]:
         return self._streams.keys()
 
-    def timestamps(self, stream: str) -> List[int]:
-        return list(self._streams.get(stream, ()))
+    def timestamps(self, stream: str) -> array[int]:
+        """A packed int64 copy of one stream (empty when never recorded)."""
+        return array("q", self._streams.get(stream, ()))
+
+    def first(self, stream: str) -> Optional[int]:
+        """The earliest timestamp of a stream, or ``None`` when it is empty."""
+        times = self._streams.get(stream)
+        return times[0] if times else None
 
     def rate_series(
         self,
@@ -149,17 +156,6 @@ class EventLog:
 
     def reset(self) -> None:
         self._streams.clear()
-
-
-def _bisect_left(values: List[int], target: int) -> int:
-    lo, hi = 0, len(values)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if values[mid] < target:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
 
 
 class StatsBundle:

@@ -11,6 +11,7 @@ they measure the host, not the simulation.
 import gc
 import pickle
 import weakref
+from array import array
 from dataclasses import fields, is_dataclass, replace
 
 import pytest
@@ -147,6 +148,8 @@ def _perturbed(value):
         return value + "-x"
     if isinstance(value, list):
         return value + [0]
+    if isinstance(value, array):
+        return value + array(value.typecode, [0])
     if isinstance(value, dict):
         if not value:
             return {"perturbed": 1}

@@ -1,8 +1,12 @@
 """Unit tests for counters and event logs."""
 
-import pytest
+from array import array
 
-from repro.mem.stats import Counter, EventLog, StatsBundle
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from repro.mem.stats import Counter, EventLog, StatsBundle, count_between
 from repro.sim import units
 
 
@@ -83,7 +87,44 @@ class TestEventLog:
         log.record("wb", 1)
         ts = log.timestamps("wb")
         ts.append(99)
-        assert log.timestamps("wb") == [1]
+        assert list(log.timestamps("wb")) == [1]
+
+    def test_timestamps_are_packed(self):
+        log = EventLog()
+        log.record("wb", 7)
+        assert log.timestamps("wb") == array("q", [7])
+        assert log.timestamps("never") == array("q")
+
+    def test_first(self):
+        log = EventLog()
+        assert log.first("wb") is None
+        log.record("wb", 30)
+        log.record("wb", 40)
+        assert log.first("wb") == 30
+
+
+_TIMES = st.lists(st.integers(min_value=0, max_value=50), max_size=60).map(sorted)
+_WINDOW = st.lists(st.integers(min_value=-10, max_value=60), min_size=2, max_size=2).map(
+    sorted
+)
+
+
+class TestCountBetween:
+    """``count_between`` against a brute-force count, on lists and arrays.
+
+    Small values force duplicates; window bounds range outside the data.
+    """
+
+    @given(_TIMES, _WINDOW)
+    def test_matches_brute_force(self, times, window):
+        start, end = window
+        expected = sum(1 for t in times if start <= t < end)
+        assert count_between(times, start, end) == expected
+        assert count_between(array("q", times), start, end) == expected
+
+    def test_empty(self):
+        assert count_between([], 0, 10) == 0
+        assert count_between(array("q"), 0, 10) == 0
 
 
 class TestStatsBundle:
