@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-benchmarks bench bench-check bench-smoke perfbench-smoke validate lint analyze check faults-smoke rack-smoke serve-smoke tenants-smoke
+.PHONY: test test-benchmarks bench bench-check bench-smoke perfbench-smoke validate lint analyze check faults-smoke rack-smoke tenants-smoke
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -10,7 +10,7 @@ test:
 lint:
 	ruff check src tests tools benchmarks
 
-# Full static-analysis battery: simlint SIM001-SIM015 (always; parses in
+# Full static-analysis battery: simlint SIM001-SIM016 (always; parses in
 # parallel through the .simlint-cache AST store) + ruff/mypy (when
 # installed -- missing tools are skipped with a notice, see tools/analyze.py;
 # CI makes them mandatory with --require ruff,mypy).
@@ -39,13 +39,6 @@ rack-smoke:
 # victim's p99 improves under IOCA's way partitioning (see docs/api.md).
 tenants-smoke:
 	$(PYTHON) tools/tenants_smoke.py
-
-# Result-cache daemon smoke gate: boot `repro serve` on a throwaway
-# socket/cache, run the same tiny sweep twice, and require the second
-# pass to be answered entirely from the warm cache with byte-identical
-# fingerprints (see docs/caching.md).
-serve-smoke:
-	$(PYTHON) tools/serve_smoke.py
 
 test-benchmarks:
 	$(PYTHON) -m pytest benchmarks -q

@@ -56,14 +56,13 @@ from .api import (
     run_experiments,
     run_policy_comparison,
     run_rack,
-    run_serve,
     run_sweep,
     run_tenants,
     standard_plan,
     units,
 )
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 __all__ = [
     "Experiment",
@@ -95,7 +94,6 @@ __all__ = [
     "run_experiments",
     "run_policy_comparison",
     "run_rack",
-    "run_serve",
     "run_sweep",
     "run_tenants",
     "standard_plan",

@@ -4,11 +4,9 @@
 ExperimentSummary` objects on disk, keyed by a canonical *config digest*
 over the whole experiment (every config field, every seed, the fault
 plan, and ``repro.__version__`` — see :mod:`repro.cache.digest`).  The
-sweep runner consults it before dispatching to the warm pool, the rack
-tier reuses unchanged per-server shards, and the ``repro serve`` daemon
-(:mod:`repro.cache.serve`) answers repeated sweeps from the warm cache
-over a local socket.  ``docs/caching.md`` documents the key derivation,
-the invalidation rules, and the serve protocol.
+sweep runner consults it before dispatching to the warm pool, and the
+rack tier reuses unchanged per-server shards.  ``docs/caching.md``
+documents the key derivation and the invalidation rules.
 
 Correctness anchor: a cache hit returns a summary whose fingerprint is
 byte-identical to a cold recompute — entries self-verify on load, and
@@ -41,27 +39,22 @@ from .digest import (
     is_cacheable,
     uncacheable_reason,
 )
-from .serve import ServeDaemon, experiment_from_spec, run_serve, submit
 from .store import GcReport, ResultCache, VerifyReport
 
 __all__ = [
     "CACHE_SCHEMA",
     "GcReport",
     "ResultCache",
-    "ServeDaemon",
     "UNCACHEABLE_FAULT_LAYERS",
     "VerifyReport",
     "cache_session",
     "canonical",
     "config_digest",
     "default_cache_dir",
-    "experiment_from_spec",
     "get_default_cache",
     "is_cacheable",
     "resolve_cache",
-    "run_serve",
     "set_default_cache",
-    "submit",
     "uncacheable_reason",
 ]
 
@@ -111,11 +104,9 @@ def resolve_cache(cache=None) -> Optional[ResultCache]:
 
 
 @contextlib.contextmanager
-def cache_session(
-    root, bus=None, version: Optional[str] = None
-) -> Iterator[ResultCache]:
+def cache_session(root, version: Optional[str] = None) -> Iterator[ResultCache]:
     """Install a cache at ``root`` as the process default for a ``with`` block."""
-    cache = ResultCache(root, bus=bus, version=version)
+    cache = ResultCache(root, version=version)
     previous = set_default_cache(cache)
     try:
         yield cache

@@ -23,10 +23,8 @@ Correctness rules:
   diverged; :meth:`ResultCache.gc` reclaims foreign-version, stale, and
   over-budget entries.
 
-Cache traffic is observable: every lookup and store publishes a typed
-:class:`~repro.obs.events.CacheHitEvent` / ``CacheMissEvent`` /
-``CacheStoreEvent`` on the cache's bus, which the serve daemon streams
-to clients and the rack tier uses to mark reused lanes.
+Cache traffic is counted in-process (``hits``/``misses``/``stores``);
+the CLI's ``[cache: ...]`` trailer and the benchmark read the counters.
 """
 
 from __future__ import annotations
@@ -41,8 +39,6 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional
 
 from ..analysis.determinism import fingerprint_digest
-from ..obs.bus import EventBus
-from ..obs.events import CacheHitEvent, CacheMissEvent, CacheStoreEvent
 from .digest import CACHE_SCHEMA, config_digest, uncacheable_reason
 
 ENTRY_SUFFIX = ".pkl"
@@ -122,23 +118,15 @@ class GcReport:
 class ResultCache:
     """Fingerprint-keyed, on-disk memoization of experiment summaries.
 
-    ``root`` is the cache directory (created on demand); ``bus`` is the
-    observability bus cache events are published on (a private bus by
-    default — pass one to share it); ``version`` overrides the
-    ``repro.__version__`` component of the key derivation (tests use this
-    to prove version bumps invalidate).
+    ``root`` is the cache directory (created on demand); ``version``
+    overrides the ``repro.__version__`` component of the key derivation
+    (tests use this to prove version bumps invalidate).
     """
 
-    def __init__(
-        self,
-        root,
-        bus: Optional[EventBus] = None,
-        version: Optional[str] = None,
-    ) -> None:
+    def __init__(self, root, version: Optional[str] = None) -> None:
         if version is None:
             from .. import __version__ as version
         self.root = Path(root)
-        self.bus = bus if bus is not None else EventBus()
         self.version = version
         #: In-process traffic counters (the on-disk truth is ``stats()``).
         self.hits = 0
@@ -161,24 +149,21 @@ class ResultCache:
     def get(self, experiment):
         """The stored summary for ``experiment``, or ``None`` on a miss.
 
-        Publishes a :class:`CacheHitEvent` or :class:`CacheMissEvent`;
-        an entry that exists but fails validation is evicted and counted
-        as a ``"corrupt"`` miss, so one bad byte can never replay as a
-        result.
+        An entry that exists but fails validation is evicted and counted
+        as a miss, so one bad byte can never replay as a result.
         """
         digest = self.digest_for(experiment)
         if digest is None:
-            return self._miss("", experiment.name, "uncacheable")
+            return self._miss()
         path = self.path_for(digest)
         try:
             entry = self._load(path, expect_digest=digest)
         except FileNotFoundError:
-            return self._miss(digest, experiment.name, "absent")
+            return self._miss()
         except CacheEntryError:
             self.evict(digest)
-            return self._miss(digest, experiment.name, "corrupt")
+            return self._miss()
         self.hits += 1
-        self.bus.publish(CacheHitEvent(digest=digest, name=experiment.name))
         return entry["summary"]
 
     def put(self, experiment, summary) -> Optional[str]:
@@ -203,11 +188,6 @@ class ResultCache:
         payload = pickle.dumps(entry, protocol=pickle.HIGHEST_PROTOCOL)
         _atomic_write_bytes(self.path_for(digest), payload)
         self.stores += 1
-        self.bus.publish(
-            CacheStoreEvent(
-                digest=digest, name=experiment.name, num_bytes=len(payload)
-            )
-        )
         return digest
 
     def evict(self, digest: str) -> bool:
@@ -218,10 +198,8 @@ class ResultCache:
         except OSError:
             return False
 
-    def _miss(self, digest: str, name: str, reason: str):
+    def _miss(self) -> None:
         self.misses += 1
-        self.bus.publish(CacheMissEvent(digest=digest, name=name, reason=reason))
-        return None
 
     def _load(self, path: Path, expect_digest: Optional[str] = None) -> Dict:
         """Read and validate one entry; raises :class:`CacheEntryError`.

@@ -15,7 +15,6 @@ Installed as the ``idio-repro`` console script::
     idio-repro tenants --policies ddio,idio,ioca   # isolation matrix
     idio-repro compare --cache-dir .repro-cache    # memoize the sweep
     idio-repro cache stats                         # result-cache census
-    idio-repro serve --socket /tmp/repro.sock      # sweep daemon
 
 The flag vocabulary is shared across subcommands via argparse parent
 parsers: every command that runs experiments accepts the same
@@ -390,26 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="evict entries older than D days",
     )
 
-    serve_p = sub.add_parser(
-        "serve",
-        help="run the sweep daemon: answer repeated sweeps from the warm "
-        "result cache over a local socket",
-        parents=[_jobs_parent(), _cache_parent()],
-    )
-    serve_p.add_argument(
-        "--socket",
-        required=True,
-        metavar="PATH",
-        help="Unix-domain socket path to listen on",
-    )
-    serve_p.add_argument(
-        "--max-requests",
-        type=_positive_int,
-        default=None,
-        metavar="N",
-        help="exit after N requests (default: run until a shutdown request)",
-    )
-
     trace_p = sub.add_parser(
         "trace",
         help="run the reference burst experiment with per-hop tracing and "
@@ -733,7 +712,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     failures = 0
 
     # Stage 0: static analysis.  In a source checkout the simlint
-    # whole-program engine (tools/simlint, SIM001-SIM015) lints the repro
+    # whole-program engine (tools/simlint, SIM001-SIM016) lints the repro
     # package itself; installed contexts without the tools/ tree skip
     # with a notice rather than failing (the CI gate runs the full
     # battery through tools/analyze.py regardless).
@@ -1140,25 +1119,6 @@ def cmd_cache(args: argparse.Namespace) -> int:
     raise AssertionError(f"unhandled cache command {args.cache_command!r}")
 
 
-def cmd_serve(args: argparse.Namespace) -> int:
-    """Run the sweep daemon (``repro.cache.serve``) until shutdown."""
-    from . import cache as cache_mod
-    from .cache.serve import run_serve
-
-    root = args.cache_dir or cache_mod.default_cache_dir()
-    cache = None if args.no_cache else cache_mod.ResultCache(root)
-    print(f"serving on {args.socket} (cache: {root if cache else 'off'})")
-    served = run_serve(
-        args.socket,
-        cache=cache,
-        cache_dir=root,
-        jobs=args.jobs,
-        max_requests=args.max_requests,
-    )
-    print(f"served {served} request(s)")
-    return 0
-
-
 def _install_cache(args: argparse.Namespace):
     """Install the invocation's default result cache from CLI flags.
 
@@ -1197,10 +1157,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "faults": cmd_faults,
         "tenants": cmd_tenants,
         "cache": cmd_cache,
-        "serve": cmd_serve,
     }
     cache, restore = (None, lambda: None)
-    if args.command not in ("cache", "serve"):
+    if args.command != "cache":
         cache, restore = _install_cache(args)
     try:
         code = handlers[args.command](args)

@@ -13,9 +13,6 @@ Chrome-trace process per server.
 
 from .bus import EventBus
 from .events import (
-    CacheHitEvent,
-    CacheMissEvent,
-    CacheStoreEvent,
     LlcWritebackEvent,
     MlcWritebackEvent,
     PmdBatchEvent,
@@ -25,9 +22,6 @@ from .events import (
 from .trace import RackTraceRecorder, TraceRecorder
 
 __all__ = [
-    "CacheHitEvent",
-    "CacheMissEvent",
-    "CacheStoreEvent",
     "EventBus",
     "LlcWritebackEvent",
     "MlcWritebackEvent",

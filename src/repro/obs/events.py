@@ -98,41 +98,3 @@ class ServerCompletedEvent:
     fingerprint: str
     #: Whether the lane was served from the result cache (no simulation).
     cached: bool = False
-
-
-@dataclass(frozen=True, slots=True)
-class CacheHitEvent:
-    """A sweep experiment was served from the result cache.
-
-    Published by :class:`~repro.cache.ResultCache` on its bus whenever a
-    lookup returns a stored summary — the experiment skipped simulation
-    entirely.  ``digest`` is the canonical config digest the entry is
-    keyed by (see ``docs/caching.md``).
-    """
-
-    digest: str
-    name: str
-
-
-@dataclass(frozen=True, slots=True)
-class CacheMissEvent:
-    """A sweep experiment was not served from the result cache.
-
-    ``reason`` says why: ``"absent"`` (no entry), ``"corrupt"`` (entry
-    failed validation and was evicted), or ``"uncacheable"`` (the
-    experiment is excluded from caching, e.g. it carries ``harness.*``
-    fault kinds whose crashes must never be memoized).
-    """
-
-    digest: str
-    name: str
-    reason: str
-
-
-@dataclass(frozen=True, slots=True)
-class CacheStoreEvent:
-    """A freshly computed summary was persisted to the result cache."""
-
-    digest: str
-    name: str
-    num_bytes: int

@@ -8,6 +8,10 @@ line — are gone in 0.5.0 in favor of the one typed entry point,
 ``access(txn)`` (see ``tests/memtxn.py`` for the migration).
 """
 
+import importlib.metadata
+
+import pytest
+
 import repro
 import repro.api
 from tests.memtxn import pcie_write
@@ -22,6 +26,15 @@ class TestFacadeSurface:
     def test_version_is_pep440ish(self):
         major, minor, patch = repro.__version__.split(".")
         assert all(part.isdigit() for part in (major, minor, patch))
+
+    def test_installed_metadata_matches_version(self):
+        # pyproject reads its version from repro.__version__; an installed
+        # distribution must agree with what ``--version`` reports.
+        try:
+            installed = importlib.metadata.version("repro")
+        except importlib.metadata.PackageNotFoundError:
+            pytest.skip("repro is not installed (running from PYTHONPATH)")
+        assert installed == repro.__version__
 
     def test_fault_types_are_the_canonical_ones(self):
         from repro.faults import FaultEvent, FaultPlan, FaultSpec

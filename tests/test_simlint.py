@@ -228,7 +228,7 @@ def test_program_rules_respect_pragmas(tmp_path):
 
 
 def test_src_repro_is_clean_under_full_battery():
-    """The whole-program acceptance gate: SIM001-SIM015 with zero baseline.
+    """The whole-program acceptance gate: SIM001-SIM016 with zero baseline.
 
     Both halves matter: the tree reports nothing, *and* the committed
     baseline is empty — no finding is being hidden by a suppression.

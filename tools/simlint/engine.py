@@ -1,7 +1,7 @@
 """Whole-program analysis engine: the project model behind simlint 2.0.
 
-The per-file rules (SIM001-SIM010, :mod:`tools.simlint.rules`) see one
-AST at a time, which is exactly as far as syntax can go.  The hazards
+The per-file rules (SIM001-SIM010 and SIM016, :mod:`tools.simlint.rules`)
+see one AST at a time, which is exactly as far as syntax can go.  The hazards
 that actually threaten the reproduction's determinism story cross file
 boundaries: an unseeded value flowing *through* a helper into a
 fingerprint, a bus event published in one module with no subscriber in
@@ -177,7 +177,7 @@ class ModuleFacts:
 
     module: str
     file: SourceFile
-    #: local name -> fully dotted origin ("repro.obs.events.CacheHitEvent"
+    #: local name -> fully dotted origin ("repro.obs.events.MlcWritebackEvent"
     #: for from-imports of a name, "repro.obs.events" for module imports).
     imports: Dict[str, str] = field(default_factory=dict)
     functions: Dict[str, FunctionInfo] = field(default_factory=dict)
